@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fixtures test race obs faults loadsmoke profsmoke fuzz-smoke bench bench-full bench-all bench-check figures report clean
+.PHONY: all build vet lint lint-fixtures test benchmark-module race obs faults loadsmoke profsmoke fuzz-smoke bench bench-full bench-all bench-check figures report clean
 
 all: build vet lint test
 
@@ -29,6 +29,13 @@ lint-fixtures:
 
 test:
 	$(GO) test ./...
+
+# the end-to-end benchmark is a Go module of its own (benchmark/go.mod),
+# so the root `go vet ./...` and `go test ./...` never compile it; this
+# vets it and runs its smoke test (~10 s), so a deleted name it uses
+# fails here instead of when the benchmark is run
+benchmark-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...

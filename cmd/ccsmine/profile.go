@@ -89,12 +89,12 @@ func renderProfile(out io.Writer, rec *obs.ProfileRecord) error {
 	if shardRows {
 		fmt.Fprintln(out, "\nshards:")
 		tw = tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "level\tshard\tworker\tsets\tcells\tseconds\tcache_hit\tcache_miss\tcache_s")
+		fmt.Fprintln(tw, "level\tshard\tworker\tsets\tcells\tseconds\tintersections\tmaterialized")
 		for _, lv := range rec.Levels {
 			for i, sh := range lv.Shards {
-				fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%.6f\t%d\t%d\t%.6f\n",
+				fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%.6f\t%d\t%d\n",
 					lv.Level, i, sh.Worker, sh.Sets, sh.Cells, sh.Seconds,
-					sh.CacheHits, sh.CacheMisses, sh.CacheSeconds)
+					sh.Intersections, sh.Materialized)
 			}
 		}
 		if err := tw.Flush(); err != nil {
@@ -115,9 +115,9 @@ func renderProfile(out io.Writer, rec *obs.ProfileRecord) error {
 		fmt.Fprintf(out, "count work: %.6f goroutine-seconds over %d shards, skew %.2f\n",
 			rec.CountWorkSeconds, rec.Shards, workerSkew(rec.WorkerBusySeconds))
 	}
-	if total := rec.CacheHits + rec.CacheMisses; total > 0 {
-		fmt.Fprintf(out, "prefix cache: %d/%d hits (%.1f%%)\n",
-			rec.CacheHits, total, 100*rec.CacheHitRate())
+	if rec.Intersections > 0 {
+		fmt.Fprintf(out, "counting work: %d intersections (%d materialized), %.3f per cell\n",
+			rec.Intersections, rec.Materialized, rec.IntersectionsPerCell())
 	}
 	return nil
 }

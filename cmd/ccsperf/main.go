@@ -5,19 +5,21 @@
 //	        [-check baseline.json] [-core-check baseline.json]
 //
 // The counting suite (BENCH_counting.json) covers the counting engines
-// (BenchmarkCount, level 2-4, all engines, with cache hit rates) and the
-// TID-list backend comparison: BenchmarkCountSparse (index build + count
+// (BenchmarkCount, level 2-4, every engine, plus the cross-level walk) and
+// the TID-list backend comparison: BenchmarkCountSparse (index build + count
 // per op on the long-tail corpus, the line the 0.5x compressed/dense
 // bytes floor gates) and BenchmarkCountBackendDense (kernel ns/op on a
 // full-chunk dense corpus). The core suite (BENCH_core.json) covers the
 // end-to-end mining algorithms:
 // BenchmarkAlgo in serial and parallel mode, BenchmarkAlgoLarge on the
 // large-lattice corpus with pinned 4- and 8-worker modes — the parallel
-// lines carry "workers", "speedup", "stall-frac" and "shard-skew" metrics
-// — plus the prefix-cache ablations. -short shrinks -benchtime AND runs
-// the test binaries with -short, which drops the large-lattice corpus
-// from 10^6 to 10^5 baskets (the basket count is part of the benchmark
-// name, so short and full runs never cross-compare). -check/-core-check
+// lines carry "workers", "speedup", "stall-frac" and "shard-skew" metrics.
+// Each report records the core count it ran on (nproc), because speedups
+// only compare between machines with the same cores. -short shrinks
+// -benchtime AND runs the test binaries with -short, which drops the
+// large-lattice corpus from 10^6 to 10^5 baskets (the basket count is
+// part of the benchmark name, so short and full runs never
+// cross-compare). -check/-core-check
 // compare the fresh runs against committed baselines and exit nonzero
 // when an allocation count regresses (allocations are deterministic;
 // wall-clock differences only warn) or, for the core suite, when an
@@ -58,7 +60,7 @@ var countingSuite = []suiteSpec{
 }
 
 var coreSuite = []suiteSpec{
-	{pkg: "./internal/core", pattern: "^(BenchmarkAlgo|BenchmarkAlgoLarge|BenchmarkAlgoSparse|BenchmarkAblationPrefixCacheOn|BenchmarkAblationPrefixCacheOff)$"},
+	{pkg: "./internal/core", pattern: "^(BenchmarkAlgo|BenchmarkAlgoLarge|BenchmarkAlgoSparse)$"},
 }
 
 // coreSpeedupFloor is the once-achieved parallel-win floor: when a
@@ -110,7 +112,7 @@ func run(args []string, out io.Writer) error {
 	// floor applies to both; it is dormant until a baseline achieves it.
 	var checkErrs []error
 	for _, j := range jobs {
-		report := &bench.PerfReport{Suite: j.suiteName, GoVersion: runtime.Version()}
+		report := &bench.PerfReport{Suite: j.suiteName, GoVersion: runtime.Version(), NProc: runtime.NumCPU()}
 		if *short {
 			report.Suite += " short"
 		}

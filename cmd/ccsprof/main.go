@@ -3,8 +3,8 @@
 // wall-clock gap. Its home use case is the parallel-speedup question the
 // benchmarks keep raising: profile the same query at workers=1 and
 // workers=8, diff the two, and the report says whether the gap is shard
-// skew, pipeline stall, prefix-cache contention, or shards too small to
-// amortize the hand-off.
+// skew, pipeline stall, extra counting work per cell, contention on the
+// counting work itself, or shards too small to amortize the hand-off.
 //
 // Usage:
 //
@@ -135,9 +135,9 @@ func report(out io.Writer, a, b *obs.ProfileRecord) error {
 		fmt.Fprintf(out, "planned shard cost: %d -> %d units (per-worker cost skew %.2f -> %.2f)\n",
 			a.ShardCost, b.ShardCost, plannedCostSkew(a), plannedCostSkew(b))
 	}
-	if a.CacheHits+a.CacheMisses+b.CacheHits+b.CacheMisses > 0 {
-		fmt.Fprintf(out, "prefix cache hit rate: %.1f%% -> %.1f%%\n",
-			100*a.CacheHitRate(), 100*b.CacheHitRate())
+	if a.Intersections+b.Intersections > 0 {
+		fmt.Fprintf(out, "intersections per cell: %.3f -> %.3f (%d -> %d intersections)\n",
+			a.IntersectionsPerCell(), b.IntersectionsPerCell(), a.Intersections, b.Intersections)
 	}
 	if skew := workerSkew(b.WorkerBusySeconds); len(b.WorkerBusySeconds) > 1 {
 		fmt.Fprintf(out, "candidate worker skew: %.2f (max busy / mean busy)\n", skew)
@@ -161,20 +161,20 @@ func indexInfo(r *obs.ProfileRecord) string {
 
 // Diagnosis thresholds. A skew above maxFairSkew means one worker carried
 // well over its share; a mean shard under minShardSeconds cannot amortize
-// the per-shard hand-off; a hit-rate drop beyond cacheDropFrac (or count
-// work inflated beyond workGrowthFactor at equal cells) points at the
-// shared prefix cache.
+// the per-shard hand-off; intersections per cell grown beyond
+// workGrowthFactor mean the kernel did more work for the same tables, and
+// goroutine-seconds grown beyond it at equal work mean the counting itself
+// ran slower.
 const (
 	maxFairSkew      = 1.5
 	minShardSeconds  = 100e-6
-	cacheDropFrac    = 0.10
 	workGrowthFactor = 1.3
 )
 
 // diagnose names the dominant regression source when the candidate run is
 // slower. The checks run from most to least specific: a parallel run that
-// stalls usually stalls *because* of skew, tiny shards, or cache
-// contention, so those refine a plain stall verdict.
+// stalls usually stalls *because* of skew, tiny shards, extra kernel work,
+// or slower counting, so those refine a plain stall verdict.
 func diagnose(a, b *obs.ProfileRecord, gap float64) string {
 	if gap <= 0 {
 		return "none: candidate is not slower than baseline"
@@ -216,13 +216,15 @@ func diagnose(a, b *obs.ProfileRecord, gap float64) string {
 			return fmt.Sprintf("per-shard work too small: mean shard runs %.0fµs (< %.0fµs); "+
 				"the hand-off costs more than the counting it overlaps", mean*1e6, minShardSeconds*1e6)
 		}
-		if hitDrop := a.CacheHitRate() - b.CacheHitRate(); hitDrop > cacheDropFrac && a.CacheHits+a.CacheMisses > 0 {
-			return fmt.Sprintf("cache contention: prefix-cache hit rate dropped %.1f points across shards "+
-				"(%.1f%% -> %.1f%%)", 100*hitDrop, 100*a.CacheHitRate(), 100*b.CacheHitRate())
+		if ia, ib := a.IntersectionsPerCell(), b.IntersectionsPerCell(); ia > 0 && ib > ia*workGrowthFactor {
+			return fmt.Sprintf("kernel work grew: %.3f -> %.3f intersections per cell; "+
+				"prefix runs were counted apart instead of once per run", ia, ib)
 		}
-		if a.CountWorkSeconds > 0 && b.CountWorkSeconds > a.CountWorkSeconds*workGrowthFactor && b.Cells <= a.Cells {
-			return fmt.Sprintf("cache contention: counting the same cells takes %.2fx the goroutine-seconds "+
-				"(%.6fs -> %.6fs)", b.CountWorkSeconds/a.CountWorkSeconds, a.CountWorkSeconds, b.CountWorkSeconds)
+		if a.CountWorkSeconds > 0 && b.CountWorkSeconds > a.CountWorkSeconds*workGrowthFactor &&
+			b.Cells <= a.Cells && b.Intersections <= a.Intersections {
+			return fmt.Sprintf("counting contention: the same intersections take %.2fx the goroutine-seconds "+
+				"(%.6fs -> %.6fs); workers compete for cores or memory bandwidth",
+				b.CountWorkSeconds/a.CountWorkSeconds, a.CountWorkSeconds, b.CountWorkSeconds)
 		}
 		return fmt.Sprintf("pipeline stall: the evaluator blocks %.6fs on shard hand-off "+
 			"with balanced workers — counting is simply not finishing ahead of evaluation", stallDelta)

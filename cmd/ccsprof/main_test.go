@@ -117,16 +117,27 @@ func TestDiffDominantSources(t *testing.T) {
 				{Seconds: 50e-6, Cost: 1}, {Seconds: 50e-6, Cost: 1},
 			}}}
 		}, "per-shard work too small"},
-		{"cache contention", func(b *obs.ProfileRecord) {
+		{"kernel work", func(b *obs.ProfileRecord) {
 			b.WorkerBusySeconds = []float64{0.4, 0.4, 0.4, 0.4}
 			b.Shards = 4
 			b.ShardCost = 4000
-			b.CacheHits, b.CacheMisses = 10, 90
+			b.Cells, b.Intersections = 1000, 900 // baseline: 500 per 1000 cells
 			b.Levels = []obs.LevelRecord{{Shards: []obs.ShardStat{
 				{Seconds: 0.4, Cost: 1000}, {Seconds: 0.4, Cost: 1000},
 				{Seconds: 0.4, Cost: 1000}, {Seconds: 0.4, Cost: 1000},
 			}}}
-		}, "cache contention"},
+		}, "kernel work grew"},
+		{"counting contention", func(b *obs.ProfileRecord) {
+			b.WorkerBusySeconds = []float64{0.4, 0.4, 0.4, 0.4}
+			b.Shards = 4
+			b.ShardCost = 4000
+			b.Cells, b.Intersections = 1000, 500 // the baseline's work, done slower
+			b.CountWorkSeconds = 1.6
+			b.Levels = []obs.LevelRecord{{Shards: []obs.ShardStat{
+				{Seconds: 0.4, Cost: 1000}, {Seconds: 0.4, Cost: 1000},
+				{Seconds: 0.4, Cost: 1000}, {Seconds: 0.4, Cost: 1000},
+			}}}
+		}, "counting contention"},
 		{"candgen growth", func(b *obs.ProfileRecord) {
 			ph := b.Phases[obs.PhaseCandgen]
 			ph.Seconds = 1.0
@@ -141,7 +152,7 @@ func TestDiffDominantSources(t *testing.T) {
 		tc.mut(b)
 		var out bytes.Buffer
 		err := run([]string{
-			writeRecord(t, dir, "base-"+tc.name+".json", cacheBase(base, tc.name)),
+			writeRecord(t, dir, "base-"+tc.name+".json", workBase(base, tc.name)),
 			writeRecord(t, dir, "cand-"+tc.name+".json", b),
 		}, &out)
 		if err != nil {
@@ -166,15 +177,16 @@ func TestDiffDominantSources(t *testing.T) {
 	}
 }
 
-// cacheBase gives the baseline a healthy cache hit rate for the
-// cache-contention case so the drop is visible.
-func cacheBase(base *obs.ProfileRecord, name string) *obs.ProfileRecord {
-	if name != "cache contention" {
+// workBase gives the baseline the counting work the two work cases
+// compare against: 0.5 intersections per cell and 0.9 goroutine-seconds.
+func workBase(base *obs.ProfileRecord, name string) *obs.ProfileRecord {
+	if name != "kernel work" && name != "counting contention" {
 		return base
 	}
 	cp := *base
 	cp.Phases = base.Phases
-	cp.CacheHits, cp.CacheMisses = 90, 10
+	cp.Cells, cp.Intersections = 1000, 500
+	cp.CountWorkSeconds = 0.9
 	return &cp
 }
 

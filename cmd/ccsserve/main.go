@@ -35,7 +35,6 @@ import (
 	"syscall"
 	"time"
 
-	"ccs/internal/counting"
 	"ccs/internal/dataset"
 	"ccs/internal/server"
 	"ccs/internal/tidlist"
@@ -63,7 +62,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	readTimeout := fs.Duration("read-timeout", 30*time.Second, "max time to read a request, headers plus body (0 = unlimited)")
 	writeTimeout := fs.Duration("write-timeout", 5*time.Minute, "max time to write a response (0 = unlimited)")
 	mineTimeout := fs.Duration("mine-timeout", time.Minute, "wall-clock budget per mining request; exceeding it returns the completed levels with truncated=true (0 = unlimited)")
-	cacheBytes := fs.Int64("cache-bytes", counting.DefaultCacheBytes, "prefix-intersection cache budget per mining request, in bytes (0 = no cache); hit/miss/eviction rates surface as ccs_prefix_cache_* on the ops /metrics")
 	workers := fs.Int("workers", 0, "default level-engine worker count per mining request (0 = GOMAXPROCS, 1 = serial); a request can override with its workers field")
 	backendFlag := fs.String("backend", "auto", "default TID-list representation of the vertical index per mining request: auto (choose by dataset density), dense, or compressed; a request can override with its backend field")
 	shutdownTimeout := fs.Duration("shutdown-timeout", 30*time.Second, "drain deadline for in-flight requests on SIGINT/SIGTERM")
@@ -82,7 +80,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	opts := []server.Option{server.WithMineTimeout(*mineTimeout), server.WithCacheBytes(*cacheBytes), server.WithWorkers(*workers), server.WithBackend(backend)}
+	opts := []server.Option{server.WithMineTimeout(*mineTimeout), server.WithWorkers(*workers), server.WithBackend(backend)}
 	if *maxInflight > 0 {
 		opts = append(opts, server.WithAdmission(server.AdmissionConfig{
 			MaxInFlight:  *maxInflight,

@@ -90,21 +90,6 @@ func NewBitmapCounter(db *DB) Counter { return counting.NewBitmapCounter(db) }
 // NewParallelCounter returns the worker-pool bitmap counter.
 func NewParallelCounter(db *DB, workers int) Counter { return counting.NewParallelCounter(db, workers) }
 
-// NewCachedBitmapCounter returns the vertical counter with a
-// prefix-intersection cache of at most cacheBytes bytes (<= 0 picks the
-// default budget): TID-lists of canonical prefixes persist across lattice
-// levels, so candidates reuse their parent's intersection instead of
-// recomputing it.
-func NewCachedBitmapCounter(db *DB, cacheBytes int64) Counter {
-	return counting.NewCachedBitmapCounter(db, cacheBytes)
-}
-
-// NewParallelCounterCached returns the worker-pool counter sharing one
-// prefix-intersection cache across its workers.
-func NewParallelCounterCached(db *DB, workers int, cacheBytes int64) Counter {
-	return counting.NewParallelCounterCached(db, workers, cacheBytes)
-}
-
 // NewDiskScanCounter streams the dataset file on every scan (bounded
 // memory).
 func NewDiskScanCounter(path string) (Counter, error) { return counting.NewDiskScanCounter(path) }

@@ -17,7 +17,7 @@ import (
 // PerfBenchmark is one benchmark line of a `go test -bench -benchmem` run.
 type PerfBenchmark struct {
 	// Name is the benchmark path with the GOMAXPROCS suffix stripped,
-	// e.g. "BenchmarkCount/cached/level=3".
+	// e.g. "BenchmarkCount/bitmap/level=3".
 	Name string `json:"name"`
 	// Iterations is the b.N the numbers were averaged over.
 	Iterations int64   `json:"iterations"`
@@ -25,7 +25,7 @@ type PerfBenchmark struct {
 	BytesPerOp int64   `json:"bytes_per_op,omitempty"`
 	// AllocsPerOp is -1 when the line carried no allocs figure.
 	AllocsPerOp int64 `json:"allocs_per_op"`
-	// Metrics holds custom b.ReportMetric units, e.g. "cache-hit-rate".
+	// Metrics holds custom b.ReportMetric units, e.g. "speedup".
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
@@ -33,10 +33,12 @@ type PerfBenchmark struct {
 type PerfReport struct {
 	// Suite labels the run, e.g. "counting+core short".
 	Suite string `json:"suite"`
-	// GoVersion and CPU record the environment the numbers came from;
-	// regressions are only meaningful against a comparable machine.
+	// GoVersion, CPU and NProc (the core count) record the environment
+	// the numbers came from; regressions are only meaningful against a
+	// comparable machine, and speedups only at the same core count.
 	GoVersion  string          `json:"go_version,omitempty"`
 	CPU        string          `json:"cpu,omitempty"`
+	NProc      int             `json:"nproc,omitempty"`
 	Benchmarks []PerfBenchmark `json:"benchmarks"`
 }
 

@@ -149,8 +149,8 @@ func benchParallelWorkers() int {
 var benchSerialNs = map[string]float64{}
 
 // BenchmarkAlgo runs every mining algorithm end to end over a shared
-// prefix-cached counter — the configuration ccsserve uses per request —
-// in two modes: serial (Workers=1, the exact old path) and parallel
+// bitmap counter — the configuration ccsserve uses per request — in two
+// modes: serial (Workers=1, the exact old path) and parallel
 // (Workers=GOMAXPROCS, the sharded level engine). cmd/ccsperf tracks the
 // suite in BENCH_core.json; the parallel lines carry "workers" and
 // "speedup" metrics (speedup = serial ns/op of the same run ÷ parallel
@@ -182,8 +182,7 @@ func BenchmarkAlgo(b *testing.B) {
 			{"parallel", benchParallelWorkers()},
 		} {
 			b.Run(c.name+"/"+mode.name, func(b *testing.B) {
-				cc := counting.NewCachedBitmapCounter(db, counting.DefaultCacheBytes)
-				defer cc.ReleaseCache()
+				cc := counting.NewBitmapCounter(db)
 				b.ReportAllocs()
 				b.ResetTimer()
 				start := time.Now()
@@ -225,15 +224,13 @@ func BenchmarkAlgo(b *testing.B) {
 					}
 					b.ReportMetric(busySkew(rec.WorkerBusySeconds), "shard-skew")
 				}
-				b.ReportMetric(cc.CacheStats().HitRate(), "cache-hit-rate")
 			})
 		}
 	}
 	// Brute refuses catalogs past 24 items, so it gets its own small DB.
 	b.Run("brute", func(b *testing.B) {
 		small := corrDB(rand.New(rand.NewSource(2)), 15, 2000)
-		cc := counting.NewCachedBitmapCounter(small, counting.DefaultCacheBytes)
-		defer cc.ReleaseCache()
+		cc := counting.NewBitmapCounter(small)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -245,7 +242,6 @@ func BenchmarkAlgo(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		b.ReportMetric(cc.CacheStats().HitRate(), "cache-hit-rate")
 	})
 }
 
@@ -326,8 +322,7 @@ func BenchmarkAlgoLarge(b *testing.B) {
 		} {
 			key := fmt.Sprintf("%s/tx=%d", c.name, numTx)
 			b.Run(key+"/"+mode.name, func(b *testing.B) {
-				cc := counting.NewCachedBitmapCounter(db, counting.DefaultCacheBytes)
-				defer cc.ReleaseCache()
+				cc := counting.NewBitmapCounter(db)
 				b.ReportAllocs()
 				b.ResetTimer()
 				start := time.Now()
@@ -367,46 +362,9 @@ func BenchmarkAlgoLarge(b *testing.B) {
 					}
 					b.ReportMetric(busySkew(rec.WorkerBusySeconds), "shard-skew")
 				}
-				b.ReportMetric(cc.CacheStats().HitRate(), "cache-hit-rate")
 			})
 		}
 	}
-}
-
-// BenchmarkAblationPrefixCache contrasts the plain bitmap kernel with the
-// prefix-cached one on the same BMS++ run — the end-to-end effect of the
-// shared-prefix intersection cache.
-func BenchmarkAblationPrefixCacheOff(b *testing.B) {
-	db := getBenchDB(b)
-	q := benchQuery()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m, err := New(db, benchParams(), WithCounter(counting.NewBitmapCounter(db)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := m.BMSPlusPlus(q, PlusPlusOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationPrefixCacheOn(b *testing.B) {
-	db := getBenchDB(b)
-	q := benchQuery()
-	cc := counting.NewCachedBitmapCounter(db, counting.DefaultCacheBytes)
-	defer cc.ReleaseCache()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m, err := New(db, benchParams(), WithCounter(cc))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := m.BMSPlusPlus(q, PlusPlusOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(cc.CacheStats().HitRate(), "cache-hit-rate")
 }
 
 // BenchmarkAblationScanVsBitmap contrasts the two counting engines on the

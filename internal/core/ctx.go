@@ -137,11 +137,11 @@ func (c *runCtl) truncation(err error) error {
 //
 // Batch ordering contract: every candidate generator (pairs, extend,
 // extendAny) sorts its output with itemset.SortSets before it reaches this
-// call, so sets that share a prefix arrive adjacent. The cached counting
-// engines rely on that adjacency — a sibling group hits the prefix
-// TID-list its first member materialized, and the parallel counter shards
-// the batch along those prefix runs — so any new generator must keep
-// emitting canonically sorted batches.
+// call, so sets that share a prefix arrive adjacent. The bitmap kernel
+// relies on that adjacency — it materializes a prefix run's shared prefix
+// lists once for all its members, and the shard planner cuts batches only
+// between runs — so any new generator must keep emitting canonically
+// sorted batches (an unsorted batch still counts correctly, only slower).
 func (m *Miner) countBatchCtl(ctl *runCtl, stats *Stats, sets []itemset.Set) ([]*contingency.Table, error) {
 	if len(sets) == 0 {
 		return nil, nil

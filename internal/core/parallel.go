@@ -246,15 +246,14 @@ func (m *Miner) runLevelSerial(ctl *runCtl, stats *Stats, spec levelSpec) error 
 // preserves the whole-level prefix soundness guarantee of Result.Answers.
 //
 // Three design points kill the hand-off overhead the old sibling-group
-// engine measured (26-29% stall, ≪100µs shards, two cache-lock trips per
+// engine measured (26-29% stall, ≪100µs shards, two lock trips per
 // candidate):
 //
 //   - Shards come from counting.PlanShards: prefix-run aligned, each at
 //     least MinShardCost of estimated work, dispatched costliest-first so
 //     one big shard cannot strand the pool at the end of the level.
-//   - Counting runs through per-worker cache arenas (counting.ArenaCounter)
-//     when the counter supports them: zero locks on the hot path, one
-//     merge into the shared cache at level commit.
+//   - Each shard is one CountShard call, which counts whole prefix runs
+//     with the run kernel and shares no state with other shards.
 //   - The evaluator helps instead of stalling: needing shard i, it first
 //     tries to claim i and count it inline; it blocks only when a worker
 //     already owns i. On one core this degenerates to the serial schedule
@@ -327,35 +326,25 @@ func (m *Miner) runLevelParallel(ctl *runCtl, stats *Stats, spec levelSpec, sc c
 		n = nShards
 	}
 	scr.ensure(nShards, len(kept), n+1) // slot n = the helping evaluator
-	var la *counting.LevelArenas
-	ac, hasArenas := sc.(counting.ArenaCounter)
-	if hasArenas {
-		la = ac.NewLevelArenas(n + 1)
-	}
 	var sprofs []*counting.ShardProf
 	if prof {
 		sprofs = scr.profBuf(nShards)
 	}
 
-	// countShard counts shard si as counter slot w, into the shared table
-	// buffer. Shard spans are disjoint, so slots never write the same
-	// element; claims guarantee one counter per shard.
-	countShard := func(w, si int) error {
+	// countShard counts shard si into the shared table buffer. Shard spans
+	// are disjoint, so counters never write the same element; claims
+	// guarantee one counter per shard.
+	countShard := func(si int) error {
 		span := plan.Shards[si].Span
-		sets := kept[span[0]:span[1]]
-		out := scr.tables[span[0]:span[1]]
 		cctx := ctl.ctx
 		if prof {
 			cctx = counting.WithShardProf(cctx, sprofs[si])
 		}
-		if hasArenas {
-			return ac.CountShardArena(cctx, sets, out, la.Arena(w))
-		}
-		ts, err := sc.CountShard(cctx, sets)
+		ts, err := sc.CountShard(cctx, kept[span[0]:span[1]])
 		if err != nil {
 			return err
 		}
-		copy(out, ts)
+		copy(scr.tables[span[0]:span[1]], ts)
 		return nil
 	}
 
@@ -378,7 +367,7 @@ func (m *Miner) runLevelParallel(ctl *runCtl, stats *Stats, spec levelSpec, sc c
 					continue // the evaluator got there first
 				}
 				start := time.Now()
-				scr.errs[si] = countShard(w, si)
+				scr.errs[si] = countShard(si)
 				d := time.Since(start)
 				scr.durs[si] = d
 				scr.workerOf[si] = w
@@ -407,7 +396,7 @@ func (m *Miner) runLevelParallel(ctl *runCtl, stats *Stats, spec levelSpec, sc c
 		if scr.claims[si].CompareAndSwap(0, 1) {
 			if firstErr == nil {
 				start := time.Now()
-				scr.errs[si] = countShard(n, si)
+				scr.errs[si] = countShard(si)
 				d := time.Since(start)
 				scr.durs[si] = d
 				scr.workerOf[si] = n
@@ -444,7 +433,6 @@ func (m *Miner) runLevelParallel(ctl *runCtl, stats *Stats, spec levelSpec, sc c
 		}
 	}
 	wg.Wait() // end-of-level barrier before the caller decides Truncated
-	la.Commit()
 
 	// Per-shard metric sends batched to one pass after the barrier.
 	minedShards.With(spec.algo).Add(int64(nShards))

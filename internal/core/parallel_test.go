@@ -163,15 +163,15 @@ func TestWorkersBudgetTruncationDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelMinerConcurrentRuns hammers one shared Miner — cached bitmap
+// TestParallelMinerConcurrentRuns hammers one shared Miner — bitmap
 // counter, 4-way level engine — from 8 goroutines. Run under -race this is
-// the concurrency gate for the whole counting + caching + level-engine
-// stack; every goroutine must also see exactly the serial answers.
+// the concurrency gate for the whole counting + level-engine stack; every
+// goroutine must also see exactly the serial answers.
 func TestParallelMinerConcurrentRuns(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	db := wideDB(rand.New(rand.NewSource(11)), 12, 300)
 	q := queryPool()["maxLE"]
-	cc := counting.NewCachedBitmapCounter(db, 1<<20)
+	cc := counting.NewBitmapCounter(db)
 	m, err := New(db, testParams(), WithCounter(cc), WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ import (
 // totals sum to its wall clock (up to the "other" residual) at every
 // worker count — which is what lets ccsprof decompose a serial-vs-parallel
 // wall-time gap exactly into per-phase deltas. Per-shard work (sets,
-// cells, cache traffic, goroutine-seconds) is collected in arena-style
+// cells, intersections, goroutine-seconds) is collected in arena-style
 // counting.ShardProf blocks, one per shard, merged into the level record
 // in shard index order at level commit — deterministic at every worker
 // count. Every collection point guards on one pointer, so a run without
@@ -92,13 +92,12 @@ func (c *runCtl) candgen(fn func() []itemset.Set) []itemset.Set {
 // is the scheduler's estimate for the shard in word-operations.
 func shardStat(worker int, dur time.Duration, cost int64, sp *counting.ShardProf) obs.ShardStat {
 	return obs.ShardStat{
-		Worker:       worker,
-		Sets:         int(sp.Sets.Load()),
-		Cells:        sp.Cells.Load(),
-		Cost:         cost,
-		Seconds:      dur.Seconds(),
-		CacheHits:    sp.CacheHits.Load(),
-		CacheMisses:  sp.CacheMisses.Load(),
-		CacheSeconds: time.Duration(sp.CacheNanos.Load()).Seconds(),
+		Worker:        worker,
+		Sets:          int(sp.Sets.Load()),
+		Cells:         sp.Cells.Load(),
+		Cost:          cost,
+		Seconds:       dur.Seconds(),
+		Intersections: sp.Intersections.Load(),
+		Materialized:  sp.Materialized.Load(),
 	}
 }

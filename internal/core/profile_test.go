@@ -8,6 +8,7 @@ import (
 	"ccs/internal/constraint"
 	"ccs/internal/counting"
 	"ccs/internal/obs"
+	"ccs/internal/tidlist"
 )
 
 // profiledMine runs one BMS++ mine with a fresh profile at the given
@@ -16,8 +17,7 @@ func profiledMine(t testing.TB, workers int) (*obs.ProfileRecord, *Result) {
 	t.Helper()
 	db := corrDB(rand.New(rand.NewSource(9)), 24, 3000)
 	q := constraint.And(constraint.NewAggregate(constraint.AggMax, constraint.Price, constraint.LE, 20))
-	cc := counting.NewCachedBitmapCounter(db, counting.DefaultCacheBytes)
-	defer cc.ReleaseCache()
+	cc := counting.NewBitmapCounter(db)
 	prof := obs.NewProfile("bms++")
 	m, err := New(db, testParams(), WithCounter(cc), WithWorkers(workers), WithProfile(prof))
 	if err != nil {
@@ -49,6 +49,12 @@ func TestProfileDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if rec1.Cells != rec8.Cells {
 		t.Errorf("cells: workers=1 %d, workers=8 %d", rec1.Cells, rec8.Cells)
+	}
+	// Shards never split a prefix run, so the kernel's work is the same
+	// however the level is sharded.
+	if rec1.Intersections != rec8.Intersections || rec1.Materialized != rec8.Materialized {
+		t.Errorf("work: workers=1 %d/%d, workers=8 %d/%d intersections/materialized",
+			rec1.Intersections, rec1.Materialized, rec8.Intersections, rec8.Materialized)
 	}
 	if len(rec1.Levels) != len(rec8.Levels) {
 		t.Fatalf("level count: workers=1 %d, workers=8 %d", len(rec1.Levels), len(rec8.Levels))
@@ -180,5 +186,47 @@ func TestProfileOffUnchanged(t *testing.T) {
 		plain.Stats.CellsCounted != profiled.Stats.CellsCounted ||
 		plain.Stats.ChiSquaredTests != profiled.Stats.ChiSquaredTests {
 		t.Fatalf("profiling changed the stats: %+v vs %+v", plain.Stats, profiled.Stats)
+	}
+}
+
+// TestProfileShardCostIsWork checks the scheduler's price against the
+// kernel's exact work on a real mine: on the dense backend every column
+// costs the same number of words, so each profiled shard of a k ≥ 2 level
+// must carry Cost = Intersections × words, at one worker and at several.
+func TestProfileShardCostIsWork(t *testing.T) {
+	db := corrDB(rand.New(rand.NewSource(9)), 24, 3000)
+	words := int64(db.NumTx()+63) / 64
+	q := constraint.And(constraint.NewAggregate(constraint.AggMax, constraint.Price, constraint.LE, 20))
+	for _, workers := range []int{1, 4} {
+		prof := obs.NewProfile("bms++")
+		cc := counting.NewBitmapCounterBackend(db, tidlist.BackendDense)
+		m, err := New(db, testParams(), WithCounter(cc), WithWorkers(workers), WithProfile(prof))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.BMSPlusPlus(q, PlusPlusOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		rec := prof.Record()
+		checked := 0
+		for _, lv := range rec.Levels {
+			if lv.Level < 2 {
+				continue
+			}
+			for i, sh := range lv.Shards {
+				if sh.Cost != sh.Intersections*words {
+					t.Errorf("workers=%d level %d shard %d: cost %d, intersections %d × %d words = %d",
+						workers, lv.Level, i, sh.Cost, sh.Intersections, words, sh.Intersections*words)
+				}
+				checked++
+			}
+		}
+		if checked == 0 {
+			t.Fatalf("workers=%d: no k>=2 shard profiled; the check is vacuous", workers)
+		}
+		if rec.Intersections == 0 || rec.Materialized == 0 || rec.Materialized > rec.Intersections {
+			t.Errorf("workers=%d: implausible work totals %d intersections, %d materialized",
+				workers, rec.Intersections, rec.Materialized)
+		}
 	}
 }

@@ -45,17 +45,10 @@ func prefixBatch(m, k int) []itemset.Set {
 	return out
 }
 
-// reportCache attaches the cache hit rate to the benchmark line so the
-// BENCH_counting.json trajectory records reuse alongside ns/op.
-func reportCache(b *testing.B, st CacheStats) {
-	b.Helper()
-	b.ReportMetric(st.HitRate(), "cache-hit-rate")
-}
-
 // BenchmarkCount measures one batch per iteration on every engine, at
-// levels 2–4. The batch is prefix-sharing (all k-subsets of 12 items), so
-// the cached engines demonstrate sibling reuse and the plain engines set
-// the allocation baseline.
+// levels 2–4. The batch is prefix-sharing (all k-subsets of 12 items), the
+// shape of a real candidate level: long prefix runs the bitmap kernel
+// counts one run per call.
 func BenchmarkCount(b *testing.B) {
 	db := benchGenDB(b)
 	for _, k := range []int{2, 3, 4} {
@@ -79,30 +72,6 @@ func BenchmarkCount(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-		b.Run(fmt.Sprintf("cached/level=%d", k), func(b *testing.B) {
-			c := NewCachedBitmapCounter(db, DefaultCacheBytes)
-			defer c.ReleaseCache()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.CountTables(batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportCache(b, c.CacheStats())
-		})
-		b.Run(fmt.Sprintf("parallel-cached/level=%d", k), func(b *testing.B) {
-			c := NewParallelCounterCached(db, 0, DefaultCacheBytes)
-			defer c.ReleaseCache()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.CountTables(batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportCache(b, c.CacheStats())
 		})
 	}
 }
@@ -208,9 +177,8 @@ func BenchmarkCountBackendDense(b *testing.B) {
 }
 
 // BenchmarkCountCrossLevel replays a miner-shaped level walk (levels 2→4,
-// candidates joined from the previous level) per iteration, the workload
-// the prefix cache is built for: each level's candidates extend sets whose
-// TID-lists the previous level just materialized.
+// candidates joined from the previous level) per iteration: each level is
+// a batch of prefix runs joined from the level before.
 func BenchmarkCountCrossLevel(b *testing.B) {
 	db := benchGenDB(b)
 	var levels [][]itemset.Set
@@ -237,25 +205,5 @@ func BenchmarkCountCrossLevel(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			walk(b, c)
 		}
-	})
-	b.Run("cached", func(b *testing.B) {
-		c := NewCachedBitmapCounter(db, DefaultCacheBytes)
-		defer c.ReleaseCache()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			walk(b, c)
-		}
-		reportCache(b, c.CacheStats())
-	})
-	b.Run("parallel-cached", func(b *testing.B) {
-		c := NewParallelCounterCached(db, 0, DefaultCacheBytes)
-		defer c.ReleaseCache()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			walk(b, c)
-		}
-		reportCache(b, c.CacheStats())
 	})
 }

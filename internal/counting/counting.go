@@ -17,7 +17,6 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ccs/internal/contingency"
 	"ccs/internal/dataset"
@@ -60,36 +59,16 @@ type ContextCounter interface {
 // concurrent use: the mining core's parallel level engine splits each
 // lattice level into prefix-aligned shards and issues one CountShard call
 // per shard from several worker goroutines at once. The bitmap-family
-// counters implement it (their vertical index is read-only, the scratch
-// arenas are pooled per goroutine, the prefix cache is mutex-guarded, and
-// the work counters are atomic); the horizontal scanners do not, so the
-// core falls back to its serial path for them.
+// counters implement it (their vertical index is read-only, each call
+// takes its own count scratch, and the work counters are atomic); the
+// horizontal scanners do not, so the core falls back to its serial path
+// for them.
 type ShardCounter interface {
 	ContextCounter
 	// CountShard is CountTablesContext with a concurrency guarantee:
 	// multiple goroutines may call it simultaneously on disjoint shards of
 	// one batch.
 	CountShard(ctx context.Context, sets []itemset.Set) ([]*contingency.Table, error)
-}
-
-// ArenaCounter is a ShardCounter that additionally supports per-worker
-// prefix-cache arenas and caller-owned result buffers — the zero-lock,
-// zero-allocation-per-shard contract the mining core's parallel level
-// engine runs on. Per level the core calls NewLevelArenas once, hands each
-// worker its own arena (nil is fine — counting runs uncached), issues
-// CountShardArena from the workers, and calls Commit on the LevelArenas
-// after the level's last shard so the shared cache absorbs the level's
-// prefixes in one locked pass.
-type ArenaCounter interface {
-	ShardCounter
-	// NewLevelArenas returns n worker-private arenas seeded from a
-	// read-only snapshot of the shared prefix cache, or nil when the
-	// counter is uncached.
-	NewLevelArenas(n int) *LevelArenas
-	// CountShardArena is CountShard writing tables into out (len(out)
-	// must equal len(sets); the caller owns and may reuse the buffer)
-	// with cache traffic routed through arena (nil = uncached).
-	CountShardArena(ctx context.Context, sets []itemset.Set, out []*contingency.Table, arena *CacheArena) error
 }
 
 // checkEvery is how many transactions (or sets) a counting loop processes
@@ -231,27 +210,29 @@ func mintermIndex(set itemset.Set, tx dataset.Transaction) int {
 }
 
 // BitmapCounter counts minterms from a vertical index. Subset supports are
-// computed by intersecting item columns (sharing work across the subset
-// lattice), then minterm counts follow by Möbius inversion over subsets.
+// computed by intersecting item columns, then minterm counts follow by
+// Möbius inversion over subsets.
 //
-// The kernel is representation-agnostic: it speaks tidlist.List, so the
-// same walk runs over dense bitset words or roaring-style compressed
-// containers, and a cached prefix keeps whichever representation its
-// intersection produced. It is allocation-free on its hot path:
-// intersections that no later subset builds on are counted in place
-// (tidlist.AndCount) instead of materialized, and the lists that are
-// materialized come from a sync.Pool-backed scratch arena. With a prefix
-// cache attached (see NewCachedBitmapCounter), the TID-lists of canonical
-// prefixes persist across batches and levels, so a level-(k+1) candidate
-// fetches its level-k prefix instead of re-intersecting it.
+// The kernel counts one prefix run at a time: a maximal stretch of
+// adjacent sets {P∪{x₁}, …, P∪{xₘ}} that share every item but the last
+// (PrefixRuns). The TID-lists of P's subsets are materialized once per
+// run, and each member then needs only the popcounts of those lists
+// against its own last column (tidlist.AndCount). Nothing outlives the
+// run, so the counter carries no state between calls beyond its reusable
+// scratch. The kernel speaks tidlist.List, so the same walk runs over
+// dense bitset words or roaring-style compressed containers.
 type BitmapCounter struct {
 	idx      *dataset.VerticalIndex
 	items    []int
-	cache    *prefixCache // nil = no cross-batch prefix reuse
-	scratch  sync.Pool    // *countScratch
-	engine   string       // metrics label: "bitmap" or "cached"
-	idxBytes int64        // resident index size, fixed at construction
-	costm    CostModel    // per-item shard pricing, fixed at construction
+	idxBytes int64     // resident index size, fixed at construction
+	costm    CostModel // per-item shard pricing, fixed at construction
+
+	// free holds count scratch between calls. It is a plain list on the
+	// counter, not a sync.Pool: a pool that has been used stays on the
+	// runtime's pool list until a second GC, and through it would pin the
+	// counter and its index after the request that built them is gone.
+	mu   sync.Mutex
+	free []*countScratch
 
 	// Work counters are atomic so concurrent CountShard callers (the
 	// mining core's level-engine workers, ParallelCounter's pool) never
@@ -260,13 +241,9 @@ type BitmapCounter struct {
 	tablesBuilt atomic.Int64
 }
 
-func newBitmapCounter(idx *dataset.VerticalIndex, itemSupports []int, cache *prefixCache) *BitmapCounter {
-	b := &BitmapCounter{idx: idx, items: itemSupports, cache: cache, engine: "bitmap", idxBytes: idx.SizeBytes()}
+func newBitmapCounter(idx *dataset.VerticalIndex, itemSupports []int) *BitmapCounter {
+	b := &BitmapCounter{idx: idx, items: itemSupports, idxBytes: idx.SizeBytes()}
 	b.costm = buildCostModel(idx, len(itemSupports))
-	if cache != nil {
-		b.engine = "cached"
-	}
-	b.scratch.New = func() interface{} { return &countScratch{} }
 	indexBytes.With(string(idx.Backend())).Set(b.idxBytes)
 	return b
 }
@@ -281,30 +258,13 @@ func NewBitmapCounter(db *dataset.DB) *BitmapCounter {
 // NewBitmapCounterBackend is NewBitmapCounter with the TID-list
 // representation pinned (tidlist.BackendAuto keeps the density heuristic).
 func NewBitmapCounterBackend(db *dataset.DB, backend tidlist.Backend) *BitmapCounter {
-	return newBitmapCounter(dataset.BuildVerticalIndexBackend(db, backend), db.ItemSupports(), nil)
+	return newBitmapCounter(dataset.BuildVerticalIndexBackend(db, backend), db.ItemSupports())
 }
 
 // NewBitmapCounterFromIndex wraps an existing vertical index; itemSupports
 // must match the index.
 func NewBitmapCounterFromIndex(idx *dataset.VerticalIndex, itemSupports []int) *BitmapCounter {
-	return newBitmapCounter(idx, itemSupports, nil)
-}
-
-// NewCachedBitmapCounter is NewBitmapCounter with a prefix-intersection
-// cache of at most cacheBytes bytes attached (cacheBytes <= 0 means
-// DefaultCacheBytes). The cache persists across CountTables calls, which is
-// where it earns its keep: the mining core issues one batch per lattice
-// level with candidates in canonical (prefix-adjacent) order, so sibling
-// candidates hit the prefix a moment after it is stored and level-(k+1)
-// candidates find the full TID-list their level-k prefix left behind.
-func NewCachedBitmapCounter(db *dataset.DB, cacheBytes int64) *BitmapCounter {
-	return NewCachedBitmapCounterBackend(db, cacheBytes, tidlist.BackendAuto)
-}
-
-// NewCachedBitmapCounterBackend is NewCachedBitmapCounter with the TID-list
-// representation pinned.
-func NewCachedBitmapCounterBackend(db *dataset.DB, cacheBytes int64, backend tidlist.Backend) *BitmapCounter {
-	return newBitmapCounter(dataset.BuildVerticalIndexBackend(db, backend), db.ItemSupports(), newPrefixCache(cacheBytes))
+	return newBitmapCounter(idx, itemSupports)
 }
 
 // IndexReporter is implemented by counters backed by a vertical index; it
@@ -322,24 +282,6 @@ func (b *BitmapCounter) IndexBackend() tidlist.Backend { return b.idx.Backend() 
 
 // IndexBytes reports the resident size of the counter's vertical index.
 func (b *BitmapCounter) IndexBytes() int64 { return b.idxBytes }
-
-// CacheStats snapshots the prefix cache's counters; the zero CacheStats is
-// returned when the counter has no cache.
-func (b *BitmapCounter) CacheStats() CacheStats {
-	if b.cache == nil {
-		return CacheStats{}
-	}
-	return b.cache.stats()
-}
-
-// ReleaseCache drops every cached TID-list and returns their bytes to the
-// ccs_prefix_cache_bytes gauge. Call it when a cached counter's run ends
-// (the HTTP service defers it per request); the counter remains usable.
-func (b *BitmapCounter) ReleaseCache() {
-	if b.cache != nil {
-		b.cache.release()
-	}
-}
 
 // NumTx implements Counter.
 func (b *BitmapCounter) NumTx() int { return b.idx.NumTx() }
@@ -362,202 +304,180 @@ func (b *BitmapCounter) CountTables(sets []itemset.Set) ([]*contingency.Table, e
 }
 
 // CountShard implements ShardCounter. The whole counting path is safe for
-// concurrent use — countOne draws its scratch arena from a sync.Pool, the
-// vertical index is read-only, the prefix cache locks internally, and the
-// work counters are atomic — so CountShard is simply CountTablesContext
-// under its concurrency contract.
+// concurrent use — each call takes its own count scratch, the vertical
+// index is read-only, and the work counters are atomic — so CountShard is
+// simply CountTablesContext under its concurrency contract.
 func (b *BitmapCounter) CountShard(ctx context.Context, sets []itemset.Set) ([]*contingency.Table, error) {
 	return b.CountTablesContext(ctx, sets)
 }
 
-// CountTablesContext implements ContextCounter, polling ctx between sets
-// (one set costs 2^k bitset intersections, so the granularity is fine).
-// When the context carries a profiling arena (WithShardProf), per-set work
-// is tallied into it; the arena lookup happens once per batch.
+// CountTablesContext implements ContextCounter, polling ctx between prefix
+// runs. When the context carries a profiling arena (WithShardProf), the
+// run kernel tallies its work into it.
 func (b *BitmapCounter) CountTablesContext(ctx context.Context, sets []itemset.Set) ([]*contingency.Table, error) {
 	b.batches.Add(1)
 	b.tablesBuilt.Add(int64(len(sets)))
-	recordSetsCounted(b.engine, len(sets))
-	done := ctx.Done()
-	prof := shardProfFrom(ctx)
+	recordSetsCounted("bitmap", len(sets))
 	out := make([]*contingency.Table, len(sets))
-	for i, set := range sets {
-		if cancelled(done) {
-			return nil, ctx.Err()
-		}
-		t, err := b.countOne(set, prof)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = t
+	if err := b.count(ctx, sets, out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// countScratch is the reusable working state of one countOne call: the
-// per-mask intersection registers plus a free list of TID-lists recycled
-// across calls. It travels through a sync.Pool so concurrent callers
-// (ParallelCounter workers) each get their own arena without locking.
+// count is the one counting entry every bitmap-family path shares: it
+// splits sets into prefix runs by adjacency and counts each run with one
+// countRun call, writing the tables into out (len(out) == len(sets)). A
+// batch need not be canonical — a set whose neighbours do not share its
+// prefix is simply a run of one. It polls ctx between runs and does not
+// touch the work counters, which belong to the calling entry point.
+func (b *BitmapCounter) count(ctx context.Context, sets []itemset.Set, out []*contingency.Table) error {
+	if len(sets) == 0 {
+		return nil
+	}
+	done := ctx.Done()
+	prof := shardProfFrom(ctx)
+	sc := b.takeScratch()
+	defer b.returnScratch(sc)
+	for lo := 0; lo < len(sets); {
+		if cancelled(done) {
+			return ctx.Err()
+		}
+		hi := runEnd(sets, lo)
+		if err := b.countRun(sets[lo:hi], out[lo:hi], sc, prof); err != nil {
+			return err
+		}
+		lo = hi
+	}
+	return nil
+}
+
+// countScratch is the reusable working state of the run kernel: the
+// registers over the run prefix's subsets, P's half of the support
+// vector, and the TID-lists the registers materialize into. One scratch
+// serves one call at a time; it only ever serves one counter, so every
+// list already has the index's backend and universe.
 type countScratch struct {
-	inter []tidlist.List // per-mask intersections; always written before read
-	owned []tidlist.List // materialized this call, recyclable unless cached
-	spare []tidlist.List // recycled lists, reused across calls
-	key   []byte         // cache-key encoding buffer, reused per prefix
+	inter []tidlist.List // inter[mask] = TID-list of P's sub-itemset mask
+	gp    []int          // gp[mask] = support of P's sub-itemset mask
+	lists []tidlist.List // materialized lists; lists[:used] hold this run's
+	used  int
 }
 
-// registers returns the intersection table sized for this call. Entries are
-// not cleared: the mask walk writes inter[mask] before any larger mask
-// reads it, so stale pointers are never observed.
-func (sc *countScratch) registers(size int) []tidlist.List {
-	if cap(sc.inter) < size {
-		sc.inter = make([]tidlist.List, size)
+// takeScratch hands the calling goroutine a scratch of its own.
+func (b *BitmapCounter) takeScratch() *countScratch {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if last := len(b.free) - 1; last >= 0 {
+		sc := b.free[last]
+		b.free = b.free[:last]
+		return sc
 	}
-	return sc.inter[:size]
+	return &countScratch{}
 }
 
-// take returns a TID-list matching idx's backend and universe, with
-// arbitrary contents (the caller overwrites them with And). A scratch arena
-// only ever serves one counter, so every recycled list already has the
-// right shape.
-func (sc *countScratch) take(idx *dataset.VerticalIndex) tidlist.List {
-	if last := len(sc.spare) - 1; last >= 0 {
-		bs := sc.spare[last]
-		sc.spare = sc.spare[:last]
-		return bs
+// returnScratch puts sc back on the counter's free list.
+func (b *BitmapCounter) returnScratch(sc *countScratch) {
+	b.mu.Lock()
+	b.free = append(b.free, sc)
+	b.mu.Unlock()
+}
+
+// list returns a TID-list to overwrite with And, reusing the lists earlier
+// runs materialized.
+func (sc *countScratch) list(idx *dataset.VerticalIndex) tidlist.List {
+	if sc.used == len(sc.lists) {
+		sc.lists = append(sc.lists, idx.NewList())
 	}
-	return idx.NewList()
+	l := sc.lists[sc.used]
+	sc.used++
+	return l
 }
 
-// recycle moves this call's still-owned bitsets to the free list and drops
-// the register references so evicted cache entries are not pinned.
-func (sc *countScratch) recycle(size int) {
-	sc.spare = append(sc.spare, sc.owned...)
-	sc.owned = sc.owned[:0]
-	inter := sc.inter[:size]
-	for i := range inter {
-		inter[i] = nil
-	}
-}
-
-// countOne builds the contingency table of one itemset.
+// countRun builds the contingency tables of one prefix run: every set in
+// run has the same size k and agrees on its first k-1 items P (a lone set
+// is a run of one). Masks over a k-set split in two halves: those without
+// the last item's bit are P's sub-itemsets, identical for every member;
+// those with it are P's sub-itemsets joined with the member's last item x.
 //
-// Subset intersections are decomposed by their highest item: the TID-list
-// of sub-itemset {set[b1..bt]} (b1<…<bt) is inter[{b1..b(t-1)}] ∩ col(bt).
-// Two properties follow. First, a mask whose highest bit is the last item
-// is never a building block of any other mask, so its support is popcounted
-// straight off the operands (tidlist.AndCount) without materializing the
-// intersection — half the lattice allocates nothing. Second, the masks
-// (1<<j)-1 are exactly the canonical j-item prefixes of the set, which is
-// what makes the prefix cache compose with the walk: a cached prefix seeds
-// its register directly, and a computed prefix is handed to the cache for
-// the sibling and next-level candidates that share it.
-// prof, when non-nil, receives per-shard profiling tallies (sets, cells,
-// cache hit/miss counts, and wall time spent inside cache get/put). The
-// nil case adds only predictable pointer-nil branches to the hot path —
-// no clock reads, no allocations.
-func (b *BitmapCounter) countOne(set itemset.Set, prof *ShardProf) (*contingency.Table, error) {
-	return b.countOneArena(set, prof, nil)
-}
-
-// countOneArena is countOne with the prefix-cache traffic routed through a
-// worker-private CacheArena when one is supplied: gets probe the arena's
-// local store then the shared snapshot, puts land in the arena — zero
-// locks, zero atomics on the whole path. A nil arena uses the shared
-// locked cache (the serial path).
-func (b *BitmapCounter) countOneArena(set itemset.Set, prof *ShardProf, arena *CacheArena) (*contingency.Table, error) {
-	k := set.Size()
+//   - P's half is computed once. Its sub-itemset TID-lists are the
+//     registers inter[mask] = inter[mask∖high] ∩ col(P[high]):
+//     2^(k-1) − k intersections, each materialized, because every one is
+//     an operand of the member half.
+//   - Each member copies P's half of the support vector and fills the other
+//     half with 2^(k-1) − 1 popcounts |inter[mask] ∩ col(x)|, counted in
+//     place (tidlist.AndCount) and never materialized.
+//
+// prof, when non-nil, receives the run's sets, cells, intersections and
+// materialized lists; the nil case costs one branch per run.
+func (b *BitmapCounter) countRun(run []itemset.Set, out []*contingency.Table, sc *countScratch, prof *ShardProf) error {
+	k := run[0].Size()
 	if k > contingency.MaxItems {
-		return nil, fmt.Errorf("counting: itemset %v exceeds %d items", set, contingency.MaxItems)
+		return fmt.Errorf("counting: itemset %v exceeds %d items", run[0], contingency.MaxItems)
 	}
 	n := b.idx.NumTx()
 	size := 1 << uint(k)
-	if prof != nil {
-		prof.Sets.Add(1)
-		prof.Cells.Add(int64(size))
+	half := size >> 1
+	if k == 0 {
+		half = 1 // the empty set's one cell is P's (empty) half
 	}
-	// g[mask] = support of the sub-itemset selected by mask. It becomes the
-	// table's cell slice after inversion, so it cannot be pooled.
-	g := make([]int, size)
-	g[0] = n
-	if k > 0 {
-		sc := b.scratch.Get().(*countScratch)
-		inter := sc.registers(size)
-		for mask := 1; mask < size; mask++ {
-			high := bits.Len(uint(mask)) - 1
-			rest := mask &^ (1 << uint(high))
-			col := b.idx.Column(set[high])
-			if rest == 0 {
-				inter[mask] = col
-				g[mask] = b.items[set[high]]
-				continue
-			}
-			// prefix: mask selects set[0..high] exactly — a cacheable
-			// canonical sub-itemset (and, at mask size-1, the set itself).
-			prefix := (arena != nil || b.cache != nil) && mask == (1<<uint(high+1))-1
-			if prefix {
-				sc.key = set[:high+1].AppendKey(sc.key[:0])
-				var t0 time.Time
-				if prof != nil {
-					t0 = time.Now()
-				}
-				var (
-					tids  tidlist.List
-					count int
-					ok    bool
-				)
-				if arena != nil {
-					tids, count, ok = arena.get(sc.key)
-				} else {
-					tids, count, ok = b.cache.get(sc.key)
-				}
-				if prof != nil {
-					prof.CacheNanos.Add(time.Since(t0).Nanoseconds())
-					if ok {
-						prof.CacheHits.Add(1)
-					} else {
-						prof.CacheMisses.Add(1)
-					}
-				}
-				if ok {
-					inter[mask] = tids
-					g[mask] = count
-					continue
-				}
-			}
-			if high == k-1 && !prefix {
-				// Never reused as a sub-intersection: count, don't build.
-				g[mask] = tidlist.AndCount(inter[rest], col)
-				continue
-			}
-			bs := sc.take(b.idx)
-			bs.And(inter[rest], col)
-			inter[mask] = bs
-			g[mask] = bs.Cardinality()
-			if prefix {
-				var t0 time.Time
-				if prof != nil {
-					t0 = time.Now()
-				}
-				var stored bool
-				if arena != nil {
-					stored = arena.put(sc.key, bs, g[mask])
-				} else {
-					stored = b.cache.put(sc.key, bs, g[mask])
-				}
-				if prof != nil {
-					prof.CacheNanos.Add(time.Since(t0).Nanoseconds())
-				}
-				if stored {
-					continue // ownership moved to the cache; not recyclable
-				}
-			}
-			sc.owned = append(sc.owned, bs)
+	if cap(sc.inter) < half {
+		sc.inter = make([]tidlist.List, half)
+		sc.gp = make([]int, half)
+	}
+	inter, gp := sc.inter[:half], sc.gp[:half]
+	sc.used = 0
+	gp[0] = n
+	for mask := 1; mask < half; mask++ {
+		high := bits.Len(uint(mask)) - 1
+		rest := mask &^ (1 << uint(high))
+		id := run[0][high]
+		if rest == 0 {
+			inter[mask] = b.idx.Column(id)
+			gp[mask] = b.items[id]
+			continue
 		}
-		sc.recycle(size)
-		b.scratch.Put(sc)
+		l := sc.list(b.idx)
+		l.And(inter[rest], b.idx.Column(id))
+		inter[mask] = l
+		gp[mask] = l.Cardinality()
 	}
-	// Möbius inversion over subsets: after the transform,
-	// g[mask] = #transactions whose intersection with set is exactly mask.
+	for i, set := range run {
+		// g becomes the table's cell slice after inversion, so it is the
+		// one allocation per set that cannot be reused.
+		g := make([]int, size)
+		copy(g, gp)
+		if k > 0 {
+			x := set[k-1]
+			col := b.idx.Column(x)
+			g[half] = b.items[x]
+			for mask := 1; mask < half; mask++ {
+				g[half|mask] = tidlist.AndCount(inter[mask], col)
+			}
+		}
+		mobius(g, k)
+		t, err := contingency.New(set, n, g)
+		if err != nil {
+			return err
+		}
+		out[i] = t
+	}
+	if prof != nil {
+		m := int64(len(run))
+		made := int64(sc.used)
+		prof.Sets.Add(m)
+		prof.Cells.Add(m * int64(size))
+		prof.Materialized.Add(made)
+		prof.Intersections.Add(made + m*int64(half-1))
+	}
+	return nil
+}
+
+// mobius inverts subset supports into minterm counts in place: afterwards
+// g[mask] = #transactions whose intersection with the k-set is exactly
+// mask.
+func mobius(g []int, k int) {
+	size := len(g)
 	for j := 0; j < k; j++ {
 		bit := 1 << uint(j)
 		for mask := 0; mask < size; mask++ {
@@ -566,5 +486,4 @@ func (b *BitmapCounter) countOneArena(set itemset.Set, prof *ShardProf, arena *C
 			}
 		}
 	}
-	return contingency.New(set, n, g)
 }

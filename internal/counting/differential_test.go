@@ -13,25 +13,17 @@ import (
 
 // engines returns one instance of every counting engine over db, keyed by
 // name. ScanCounter is the reference the others must match byte for byte.
-// The tiny cached variant has a budget small enough that multi-level runs
-// evict constantly, so the eviction path is exercised differentially too.
 // Every vertical engine appears twice — once forced onto the dense backend,
 // once onto the compressed one — so the container kernels are held to the
 // same byte-for-byte standard as the word loops they replace.
 func engines(db *dataset.DB) map[string]Counter {
 	z := tidlist.BackendCompressed
 	return map[string]Counter{
-		"scan":              NewScanCounter(db),
-		"bitmap":            NewBitmapCounterBackend(db, tidlist.BackendDense),
-		"bitmap-z":          NewBitmapCounterBackend(db, z),
-		"cached":            NewCachedBitmapCounter(db, 1<<20),
-		"cached-z":          NewCachedBitmapCounterBackend(db, 1<<20, z),
-		"cached-tiny":       NewCachedBitmapCounter(db, 600),
-		"cached-tiny-z":     NewCachedBitmapCounterBackend(db, 600, z),
-		"parallel":          NewParallelCounter(db, 4),
-		"parallel-z":        NewParallelCounterBackend(db, 4, z),
-		"parallel-cached":   NewParallelCounterCached(db, 4, 1<<20),
-		"parallel-cached-z": NewParallelCounterCachedBackend(db, 4, 1<<20, z),
+		"scan":       NewScanCounter(db),
+		"bitmap":     NewBitmapCounterBackend(db, tidlist.BackendDense),
+		"bitmap-z":   NewBitmapCounterBackend(db, z),
+		"parallel":   NewParallelCounter(db, 4),
+		"parallel-z": NewParallelCounterBackend(db, 4, z),
 	}
 }
 
@@ -97,8 +89,8 @@ func TestDifferentialRandomBatches(t *testing.T) {
 
 // TestDifferentialCrossLevel mimics the miner's level-wise walk: level-k
 // batches generated by the Apriori join of the previous level, issued to
-// the same engine instances so the cached engines reuse (and, for the tiny
-// budget, evict) TID-lists across levels.
+// the same engine instances, so every level holds prefix runs of several
+// members and the engines' reused scratch crosses levels.
 func TestDifferentialCrossLevel(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	db := randomDB(r, 12, 100)
@@ -117,29 +109,16 @@ func TestDifferentialCrossLevel(t *testing.T) {
 		checkBatch(t, engs, cands, fmt.Sprintf("level %d", depth))
 		level = cands
 	}
-
-	// The walk above must have hit the cache (sibling prefixes at each
-	// level, full sets across levels) and forced evictions on the tiny
-	// budget — otherwise the differential run proved nothing about reuse.
-	if st := engs["cached"].(*BitmapCounter).CacheStats(); st.Hits == 0 {
-		t.Fatalf("cached engine never hit: %+v", st)
-	}
-	if st := engs["cached-tiny"].(*BitmapCounter).CacheStats(); st.Evictions == 0 {
-		t.Fatalf("tiny cached engine never evicted: %+v", st)
-	}
-	if st := engs["parallel-cached"].(*ParallelCounter).CacheStats(); st.Hits == 0 {
-		t.Fatalf("parallel cached engine never hit: %+v", st)
-	}
 }
 
-// TestDifferentialRecount re-counts the same batch twice on one cached
-// engine: the second pass is served almost entirely from the cache and must
+// TestDifferentialRecount re-counts the same batch twice on one bitmap
+// engine: the second pass reuses the first pass's scratch lists and must
 // still match the scan reference.
 func TestDifferentialRecount(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	db := randomDB(r, 8, 90)
 	scan := NewScanCounter(db)
-	cached := NewCachedBitmapCounter(db, 1<<20)
+	bm := NewBitmapCounter(db)
 	batch := []itemset.Set{
 		itemset.New(0, 1, 2),
 		itemset.New(0, 1, 3),
@@ -151,7 +130,7 @@ func TestDifferentialRecount(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pass := 0; pass < 2; pass++ {
-		got, err := cached.CountTables(batch)
+		got, err := bm.CountTables(batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,29 +140,19 @@ func TestDifferentialRecount(t *testing.T) {
 			}
 		}
 	}
-	st := cached.CacheStats()
-	if st.Hits == 0 || st.Misses == 0 {
-		t.Fatalf("recount expected both hits and misses: %+v", st)
-	}
 }
 
-// TestReleaseCacheEmptiesAndStaysUsable covers the per-request lifecycle
-// the HTTP service relies on.
+// TestReleaseCacheEmptiesAndStaysUsable checks that ReleaseCache, kept for
+// the end-to-end benchmark's traced replay, leaves the counter usable.
 func TestReleaseCacheEmptiesAndStaysUsable(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	db := randomDB(r, 6, 50)
-	c := NewCachedBitmapCounter(db, 1<<20)
+	c := NewCachedBitmapCounterBackend(db, 1<<20, tidlist.BackendAuto)
 	batch := []itemset.Set{itemset.New(0, 1, 2), itemset.New(0, 1, 3)}
 	if _, err := c.CountTables(batch); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.CacheStats(); st.Bytes == 0 || st.Entries == 0 {
-		t.Fatalf("expected a populated cache, got %+v", st)
-	}
 	c.ReleaseCache()
-	if st := c.CacheStats(); st.Bytes != 0 || st.Entries != 0 {
-		t.Fatalf("release left residue: %+v", st)
-	}
 	got, err := c.CountTables(batch)
 	if err != nil {
 		t.Fatal(err)
@@ -199,13 +168,34 @@ func TestReleaseCacheEmptiesAndStaysUsable(t *testing.T) {
 	}
 }
 
-// TestParallelCachedConcurrentWorkers floods a shared cache from many
-// workers on a prefix-heavy batch; run under -race this is the lock-safety
-// test for the cache and the scratch pool.
-func TestParallelCachedConcurrentWorkers(t *testing.T) {
+// TestNonCanonicalBatch counts a batch whose prefix runs are interleaved
+// and repeated: the kernel finds runs by adjacency, so every order must
+// give the scan's tables.
+func TestNonCanonicalBatch(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	db := randomDB(r, 10, 120)
+	batch := []itemset.Set{
+		itemset.New(0, 1, 5),
+		itemset.New(2, 3),
+		itemset.New(0, 1, 2),
+		itemset.New(0, 1, 2),
+		itemset.New(4),
+		itemset.New(0, 1, 9),
+		itemset.New(0, 2, 3, 7),
+		itemset.New(0, 2, 3, 4),
+		itemset.New(),
+		itemset.New(2, 6),
+	}
+	checkBatch(t, engines(db), batch, "non-canonical")
+}
+
+// TestParallelConcurrentWorkers floods the kernel from many workers on a
+// prefix-heavy batch; run under -race this is the safety test for the
+// counter's shared scratch list.
+func TestParallelConcurrentWorkers(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	db := randomDB(r, 16, 200)
-	p := NewParallelCounterCached(db, 8, 1<<14) // small enough to evict under load
+	p := NewParallelCounter(db, 8)
 	scan := NewScanCounter(db)
 	var batch []itemset.Set
 	for a := 0; a < 8; a++ {

@@ -22,18 +22,6 @@ const (
 	// MetricTransientFaultsTotal counts transient faults a scan absorbed on
 	// its way to a successful completion.
 	MetricTransientFaultsTotal = "ccs_transient_faults_survived_total"
-	// MetricPrefixCacheHitsTotal counts sub-itemset TID-list lookups served
-	// from the prefix-intersection cache.
-	MetricPrefixCacheHitsTotal = "ccs_prefix_cache_hits_total"
-	// MetricPrefixCacheMissesTotal counts lookups that had to recompute the
-	// intersection.
-	MetricPrefixCacheMissesTotal = "ccs_prefix_cache_misses_total"
-	// MetricPrefixCacheEvictionsTotal counts TID-lists evicted to stay under
-	// the cache byte budget.
-	MetricPrefixCacheEvictionsTotal = "ccs_prefix_cache_evictions_total"
-	// MetricPrefixCacheBytes gauges the bytes currently held by live prefix
-	// caches (summed across caches).
-	MetricPrefixCacheBytes = "ccs_prefix_cache_bytes"
 	// MetricIndexBytes gauges the resident size of the most recently built
 	// vertical index, by TID-list backend — the live view of what the
 	// dense/compressed choice costs in memory.
@@ -45,10 +33,6 @@ var (
 	diskBytes       = obs.Default().Counter(MetricDiskScanBytesTotal, "Bytes read from dataset files by the disk scanner.")
 	diskRetries     = obs.Default().Counter(MetricDiskScanRetriesTotal, "Disk-scanner read retries on transient I/O errors.")
 	transientFaults = obs.Default().Counter(MetricTransientFaultsTotal, "Transient faults absorbed by scans that then completed successfully.")
-	cacheHits       = obs.Default().Counter(MetricPrefixCacheHitsTotal, "Prefix-intersection cache hits.")
-	cacheMisses     = obs.Default().Counter(MetricPrefixCacheMissesTotal, "Prefix-intersection cache misses.")
-	cacheEvictions  = obs.Default().Counter(MetricPrefixCacheEvictionsTotal, "Prefix-intersection cache evictions under the byte budget.")
-	cacheBytes      = obs.Default().Gauge(MetricPrefixCacheBytes, "Bytes held by live prefix-intersection caches.")
 	indexBytes      = obs.Default().GaugeVec(MetricIndexBytes, "Resident bytes of the most recently built vertical index, by TID-list backend.", "backend")
 )
 

@@ -13,17 +13,15 @@ import (
 )
 
 // ParallelCounter is a BitmapCounter that distributes the itemsets of a
-// batch across worker goroutines. Counting one set is independent of the
-// others (the vertical index is read-only), so a batch parallelizes
+// batch across worker goroutines. Counting one prefix run is independent
+// of the others (the vertical index is read-only), so a batch parallelizes
 // embarrassingly; on a single core it degrades gracefully to the serial
 // cost.
 //
-// Work is handed out in prefix runs — maximal stretches of the batch whose
-// sets share everything but their last item. The mining core emits batches
-// in canonical order, so a run is exactly one sibling group; keeping it on
-// one worker means the worker that materializes (and caches) the shared
-// prefix is the one that immediately reuses it, without bouncing the
-// prefix cache's lock between workers.
+// Work is handed out in shards of whole prefix runs (PlanShards) — maximal
+// stretches of the batch whose sets share everything but their last item —
+// so every run is counted by one call of the run kernel, which
+// materializes the run's shared prefix lists once.
 type ParallelCounter struct {
 	inner   *BitmapCounter
 	workers int
@@ -47,22 +45,6 @@ func NewParallelCounterBackend(db *dataset.DB, workers int, backend tidlist.Back
 	return &ParallelCounter{inner: NewBitmapCounterBackend(db, backend), workers: workers}
 }
 
-// NewParallelCounterCached is NewParallelCounter with a shared
-// prefix-intersection cache of at most cacheBytes bytes (<= 0 means
-// DefaultCacheBytes) attached to the underlying bitmap kernel.
-func NewParallelCounterCached(db *dataset.DB, workers int, cacheBytes int64) *ParallelCounter {
-	return NewParallelCounterCachedBackend(db, workers, cacheBytes, tidlist.BackendAuto)
-}
-
-// NewParallelCounterCachedBackend is NewParallelCounterCached with the
-// TID-list representation pinned.
-func NewParallelCounterCachedBackend(db *dataset.DB, workers int, cacheBytes int64, backend tidlist.Backend) *ParallelCounter {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &ParallelCounter{inner: NewCachedBitmapCounterBackend(db, cacheBytes, backend), workers: workers}
-}
-
 // IndexBackend reports the inner index's resolved TID-list representation.
 func (p *ParallelCounter) IndexBackend() tidlist.Backend { return p.inner.IndexBackend() }
 
@@ -82,39 +64,35 @@ func (p *ParallelCounter) Stats() Stats {
 
 // CountShard implements ShardCounter by delegating to the inner bitmap
 // kernel without fanning out again: a shard is already one worker's slice
-// of a level, so nesting a second worker pool underneath it would only
-// bounce the prefix cache between goroutines.
+// of a level, so nesting a second worker pool underneath it would only add
+// hand-offs.
 func (p *ParallelCounter) CountShard(ctx context.Context, sets []itemset.Set) ([]*contingency.Table, error) {
 	return p.inner.CountShard(ctx, sets)
 }
-
-// CacheStats snapshots the shared prefix cache (zero when uncached).
-func (p *ParallelCounter) CacheStats() CacheStats { return p.inner.CacheStats() }
-
-// ReleaseCache drops the shared prefix cache's entries; see
-// (*BitmapCounter).ReleaseCache.
-func (p *ParallelCounter) ReleaseCache() { p.inner.ReleaseCache() }
 
 // PrefixRuns splits [0, len(sets)) into half-open index spans of adjacent
 // sets that share their full prefix (all items but the last). Sets of
 // different sizes, or with any differing prefix item, break the run. The
 // batch must be in canonical order (itemset.SortSets) for the runs to be
-// exactly the sibling groups; both this package's ParallelCounter and the
-// mining core's parallel level engine shard along these runs so the worker
-// that caches a prefix TID-list is the worker that reuses it.
+// exactly the sibling groups. A run is the unit of the bitmap kernel (one
+// countRun call each) and of shard planning: shards never split one.
 func PrefixRuns(sets []itemset.Set) [][2]int {
 	runs := make([][2]int, 0, len(sets))
-	start := 0
-	for i := 1; i < len(sets); i++ {
-		if !samePrefixSet(sets[start], sets[i]) {
-			runs = append(runs, [2]int{start, i})
-			start = i
-		}
-	}
-	if len(sets) > 0 {
-		runs = append(runs, [2]int{start, len(sets)})
+	for lo := 0; lo < len(sets); {
+		hi := runEnd(sets, lo)
+		runs = append(runs, [2]int{lo, hi})
+		lo = hi
 	}
 	return runs
+}
+
+// runEnd returns the end of the prefix run that starts at sets[lo].
+func runEnd(sets []itemset.Set, lo int) int {
+	hi := lo + 1
+	for hi < len(sets) && samePrefixSet(sets[lo], sets[hi]) {
+		hi++
+	}
+	return hi
 }
 
 // samePrefixSet reports whether a and b have equal size and agree on every
@@ -141,11 +119,11 @@ func (p *ParallelCounter) CountTables(sets []itemset.Set) ([]*contingency.Table,
 // CountTablesContext implements ContextCounter. Work is sharded by the
 // cost model (PlanShards), not raw prefix runs: a batch whose estimated
 // cost is below one shard budget — every level-1 batch, most tail levels —
-// is folded into a single serial pass on the calling goroutine, so small
-// levels no longer spawn one goroutine per singleton run just to lose the
-// hand-off cost. Each worker polls ctx before every set it counts; on
-// cancellation the workers stop pulling, the remaining shards are
-// abandoned, and the call returns ctx.Err().
+// is counted in a single serial pass on the calling goroutine, so small
+// levels spawn no goroutines just to lose the hand-off cost. Each worker
+// counts its shards through the run kernel, which polls ctx between runs;
+// on cancellation the remaining shards return at their first poll, and
+// the call returns ctx.Err().
 func (p *ParallelCounter) CountTablesContext(ctx context.Context, sets []itemset.Set) ([]*contingency.Table, error) {
 	p.batches.Add(1)
 	p.tablesBuilt.Add(int64(len(sets)))
@@ -154,19 +132,10 @@ func (p *ParallelCounter) CountTablesContext(ctx context.Context, sets []itemset
 	if len(sets) == 0 {
 		return out, nil
 	}
-	prof := shardProfFrom(ctx)
 	plan := p.inner.CostModel().PlanShards(sets, p.workers)
 	if p.workers == 1 || len(plan.Shards) == 1 {
-		done := ctx.Done()
-		for i, set := range sets {
-			if cancelled(done) {
-				return nil, ctx.Err()
-			}
-			t, err := p.inner.countOne(set, prof)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = t
+		if err := p.inner.count(ctx, sets, out); err != nil {
+			return nil, err
 		}
 		return out, nil
 	}
@@ -180,35 +149,22 @@ func (p *ParallelCounter) CountTablesContext(ctx context.Context, sets []itemset
 	}
 	close(work)
 
-	done := ctx.Done()
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
 	)
-	setErr := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for r := range work {
-				for i := r[0]; i < r[1]; i++ {
-					if cancelled(done) {
-						setErr(ctx.Err())
-						return
+				if err := p.inner.count(ctx, sets[r[0]:r[1]], out[r[0]:r[1]]); err != nil {
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
 					}
-					t, err := p.inner.countOne(sets[i], prof)
-					if err != nil {
-						setErr(err)
-						continue
-					}
-					out[i] = t
+					mu.Unlock()
 				}
 			}
 		}()

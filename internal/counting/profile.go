@@ -8,22 +8,25 @@ import (
 // ShardProf is the per-shard profiling arena the mining core's profiler
 // (internal/obs Profile) threads through a counting call: the bitmap-family
 // counters tally into it how many sets and contingency cells a shard
-// counted and how its prefix-cache lookups fared, including the wall time
-// spent inside cache get/put (the lock-contention component of counting).
+// counted and exactly how much intersection work that took.
 //
 // Fields are atomics because ParallelCounter fans a batch out across its
 // own workers, all sharing one context; the level engine's CountShard path
-// has one goroutine per ShardProf, where the atomics cost a few ns per set.
+// has one goroutine per ShardProf, where the atomics cost a few ns per run.
 // A nil *ShardProf disables collection — the counters take a pointer per
 // batch from the context (one allocation-free Value lookup) and guard every
 // tally on it, so the disabled path does no extra work and no extra
 // allocation.
 type ShardProf struct {
-	Sets        atomic.Int64 // itemsets counted
-	Cells       atomic.Int64 // contingency cells produced (2^k per k-set)
-	CacheHits   atomic.Int64 // prefix-cache lookups served
-	CacheMisses atomic.Int64 // prefix-cache lookups that fell through
-	CacheNanos  atomic.Int64 // wall nanoseconds inside cache get/put
+	Sets  atomic.Int64 // itemsets counted
+	Cells atomic.Int64 // contingency cells produced (2^k per k-set)
+	// Intersections counts TID-list intersections, materialized or
+	// popcounted in place; on the dense backend each costs the same number
+	// of words, so Intersections × words is the shard's exact work.
+	Intersections atomic.Int64
+	// Materialized counts the intersections that were written out as
+	// TID-lists (the registers over a prefix run's shared prefix).
+	Materialized atomic.Int64
 }
 
 // shardProfKey is the context key carrying a *ShardProf.

@@ -17,83 +17,35 @@ func TestProfilerOffZeroAllocs(t *testing.T) {
 	db := randomDB(r, 50, 5000)
 	sets := []itemset.Set{itemset.New(1, 2, 3)}
 	ctx := context.Background()
-
-	counters := []struct {
-		name  string
-		plain func() error
-		inst  func() error
-	}{
-		{
-			name: "bitmap",
-			plain: func() error {
-				_, err := NewBitmapCounter(db).CountTables(sets)
-				return err
-			},
-			inst: func() error {
-				_, err := NewBitmapCounter(db).CountTablesContext(ctx, sets)
-				return err
-			},
-		},
+	plain := func() {
+		if _, err := NewBitmapCounter(db).CountTables(sets); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// The cached counter is stateful (its cache warms), so it gets two
-	// long-lived instances driven identically.
-	plainCC := NewCachedBitmapCounter(db, DefaultCacheBytes)
-	defer plainCC.ReleaseCache()
-	instCC := NewCachedBitmapCounter(db, DefaultCacheBytes)
-	defer instCC.ReleaseCache()
-	counters = append(counters, struct {
-		name  string
-		plain func() error
-		inst  func() error
-	}{
-		name: "cached-bitmap",
-		plain: func() error {
-			_, err := plainCC.CountTables(sets)
-			return err
-		},
-		inst: func() error {
-			_, err := instCC.CountTablesContext(ctx, sets)
-			return err
-		},
-	})
-
-	for _, c := range counters {
-		// warm once so both sides measure the steady state
-		if err := c.plain(); err != nil {
+	inst := func() {
+		if _, err := NewBitmapCounter(db).CountTablesContext(ctx, sets); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.inst(); err != nil {
-			t.Fatal(err)
-		}
-		plain := testing.AllocsPerRun(50, func() {
-			if err := c.plain(); err != nil {
-				t.Fatal(err)
-			}
-		})
-		inst := testing.AllocsPerRun(50, func() {
-			if err := c.inst(); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if inst > plain {
-			t.Errorf("%s: profiler-off context path allocates %.1f/op, plain path %.1f/op — want 0 extra",
-				c.name, inst, plain)
-		}
+	}
+	// warm once so both sides measure the steady state
+	plain()
+	inst()
+	if a, b := testing.AllocsPerRun(50, inst), testing.AllocsPerRun(50, plain); a > b {
+		t.Errorf("profiler-off context path allocates %.1f/op, plain path %.1f/op — want 0 extra", a, b)
 	}
 }
 
 // TestShardProfCollects checks an attached ShardProf sees every set, the
-// cells actually built, and the prefix-cache outcomes.
+// cells actually built, and the exact intersection work of the run kernel.
 func TestShardProfCollects(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	db := randomDB(r, 30, 500)
-	batch := prefixBatch(8, 3) // sibling runs, so the cache gets hits
+	batch := prefixBatch(8, 3) // 21 prefix runs of 1 to 6 members
 
-	cc := NewCachedBitmapCounter(db, DefaultCacheBytes)
-	defer cc.ReleaseCache()
+	bm := NewBitmapCounter(db)
 	var prof ShardProf
 	ctx := WithShardProf(context.Background(), &prof)
-	tables, err := cc.CountTablesContext(ctx, batch)
+	tables, err := bm.CountTablesContext(ctx, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +58,23 @@ func TestShardProfCollects(t *testing.T) {
 	if got, want := prof.Cells.Load(), int64(len(batch))*8; got != want {
 		t.Errorf("prof.Cells = %d, want %d (3-item sets build 8 cells each)", got, want)
 	}
-	if prof.CacheHits.Load()+prof.CacheMisses.Load() == 0 {
-		t.Error("cached counter recorded no cache lookups")
+	// Each 2-item prefix materializes its one pair list (2^2 − 3 = 1) and
+	// each member popcounts 2^2 − 1 = 3 lists against its last column.
+	runs := int64(len(PrefixRuns(batch)))
+	if got := prof.Materialized.Load(); got != runs {
+		t.Errorf("prof.Materialized = %d, want one per run (%d)", got, runs)
 	}
-	if prof.CacheHits.Load() == 0 {
-		t.Error("prefix batch recorded no cache hits")
+	if got, want := prof.Intersections.Load(), runs+3*int64(len(batch)); got != want {
+		t.Errorf("prof.Intersections = %d, want %d", got, want)
+	}
+	want, err := NewScanCounter(db).CountTables(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range batch {
+		if !tablesEqual(want[i], tables[i]) {
+			t.Fatalf("profiled count diverges on %v", batch[i])
+		}
 	}
 
 	// nil prof: WithShardProf must return the context unchanged

@@ -89,10 +89,10 @@ func (p *ParallelCounter) CostModel() CostModel {
 	return p.inner.CostModel()
 }
 
-// setWords is the unit intersection cost of one candidate: the smallest of
-// its items' column sizes. An intersection's work is bounded by its
-// smallest operand — the mask walk ANDs into an accumulator that starts as
-// one column and only shrinks — so the cheapest column governs.
+// setWords is the unit intersection cost of a set: the smallest of its
+// items' column sizes. An intersection's work is bounded by its smallest
+// operand — the kernel ANDs into registers that start as one column and
+// only shrink — so the cheapest column governs.
 func (m CostModel) setWords(s itemset.Set) int64 {
 	best := m.words
 	if m.col != nil {
@@ -108,35 +108,26 @@ func (m CostModel) setWords(s itemset.Set) int64 {
 	return best
 }
 
-// candidateCost prices one k-candidate in word-operations. A cold
-// candidate walks its full subset lattice: ~2^k intersections, each one
-// AND over the TID-list (the vertical cost model — 2^k contingency cells,
-// each priced at the list length). A warm candidate (a later member of a
-// prefix run, whose (k-1)-prefix the run's first member just materialized
-// and cached) skips the prefix half of the lattice: ~2^(k-1) intersections.
-// Singletons do no intersection at all — their supports are precomputed —
-// so they are priced at table assembly only.
-func candidateCost(k int, words int64, warm bool) int64 {
-	if k < 2 {
-		return 1
-	}
-	lattice := int64(1) << uint(k)
-	if warm {
-		lattice = lattice/2 + 1
-	}
-	return lattice * words
-}
-
-// runCost prices one prefix run, candidates [lo,hi) of sets: the first
-// member pays the cold cost, its siblings the warm cost, each at its own
-// per-item unit cost.
+// runCost prices one prefix run, candidates [lo,hi) of sets, in
+// word-operations. The run kernel performs exactly 2^(k-1) − k
+// intersections over the shared prefix's subsets plus 2^(k-1) − 1 per
+// member; the prefix's are priced at the prefix's unit cost, each
+// member's at its own. Runs of singletons do no intersection at
+// all — their supports are precomputed — so they are priced at table
+// assembly only, one unit per set, which keeps every non-empty shard's
+// cost positive.
 func (m CostModel) runCost(sets []itemset.Set, lo, hi int) int64 {
 	if hi <= lo {
 		return 0
 	}
-	total := candidateCost(sets[lo].Size(), m.setWords(sets[lo]), false)
-	for i := lo + 1; i < hi; i++ {
-		total += candidateCost(sets[i].Size(), m.setWords(sets[i]), true)
+	k := sets[lo].Size()
+	if k < 2 {
+		return int64(hi - lo)
+	}
+	half := int64(1) << uint(k-1)
+	total := (half - int64(k)) * m.setWords(sets[lo][:k-1])
+	for i := lo; i < hi; i++ {
+		total += (half - 1) * m.setWords(sets[i])
 	}
 	return total
 }
@@ -198,7 +189,7 @@ type ShardPlan struct {
 
 // PlanShards builds the counting schedule for one canonical batch.
 // Shard boundaries fall only on prefix-run boundaries (a sibling group —
-// the unit of prefix-cache reuse — never splits across workers). Each
+// one call of the run kernel — never splits across workers). Each
 // shard's estimated cost reaches the per-shard budget
 // max(total/(workers×shardsPerWorker), MinShardCost) before it closes, so
 // shards are big enough to amortize hand-off and few enough to schedule

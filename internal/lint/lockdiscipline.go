@@ -9,11 +9,12 @@ import (
 	"strings"
 )
 
-// LockDiscipline machine-checks the two mutex invariants the prefixCache
-// and the obs registry depend on. First, balance: every Lock/RLock must be
-// released on every exit of the function, either by a deferred Unlock or
-// path-paired (the cache's get/put fast paths release mid-function before
-// early returns — legal, and the analyzer follows each path to prove it).
+// LockDiscipline machine-checks the two mutex invariants the counters'
+// scratch lists and the obs registry depend on. First, balance: every
+// Lock/RLock must be released on every exit of the function, either by a
+// deferred Unlock or path-paired (a fast path that releases mid-function
+// before an early return is legal, and the analyzer follows each path to
+// prove it).
 // Second, no self-deadlock: while a method holds a mutex of its receiver
 // it must not call another method that takes the same mutex — the callee
 // blocks on the lock its caller holds. The second check rides on

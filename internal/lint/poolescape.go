@@ -6,9 +6,9 @@ import (
 	"go/types"
 )
 
-// PoolEscape guards the sync.Pool scratch arenas of the counting kernels
-// (countScratch, DESIGN.md §9): a value obtained from (*sync.Pool).Get
-// must stay inside the function that got it. Two ways out are flagged —
+// PoolEscape guards sync.Pool scratch arenas (DESIGN.md §11): a value
+// obtained from (*sync.Pool).Get must stay inside the function that got
+// it. Two ways out are flagged —
 // appearing in a return statement (the caller would hold an object the
 // pool may hand to a concurrent goroutine the moment anyone Puts it), and
 // any use after the matching Put (the object may already be another

@@ -257,22 +257,23 @@ func (l *LevelProf) End() {
 	}
 }
 
-// ShardStat is one counted shard's contribution: which worker counted it,
-// how much intersection work it did, and how its prefix-cache lookups
-// fared. CacheSeconds isolates time spent inside cache get/put (lock +
-// lookup) from the intersection work proper. Cost is the scheduler's
-// estimated counting cost in word-operations (counting.PlanShards); it is
-// ≥ 1 for any shard with at least one set, so a profile whose shards all
-// carry zero cost predates the cost-based scheduler.
+// ShardStat is one counted shard's contribution: which worker counted it
+// and how much intersection work it did. Intersections counts every
+// TID-list intersection the counting kernel performed, Materialized the
+// ones written out as lists; on the dense backend each intersection costs
+// the same number of words, so Cost = Intersections × words exactly. Cost
+// is the scheduler's estimated counting cost in word-operations
+// (counting.PlanShards); it is ≥ 1 for any shard with at least one set, so
+// a profile whose shards all carry zero cost predates the cost-based
+// scheduler.
 type ShardStat struct {
-	Worker       int     `json:"worker"`
-	Sets         int     `json:"sets"`
-	Cells        int64   `json:"cells"`
-	Cost         int64   `json:"cost"`
-	Seconds      float64 `json:"seconds"`
-	CacheHits    int64   `json:"cache_hits"`
-	CacheMisses  int64   `json:"cache_misses"`
-	CacheSeconds float64 `json:"cache_seconds"`
+	Worker        int     `json:"worker"`
+	Sets          int     `json:"sets"`
+	Cells         int64   `json:"cells"`
+	Cost          int64   `json:"cost"`
+	Seconds       float64 `json:"seconds"`
+	Intersections int64   `json:"intersections"`
+	Materialized  int64   `json:"materialized"`
 }
 
 // PhaseRecord is one phase's share of a run in the JSON schema.
@@ -326,18 +327,22 @@ type ProfileRecord struct {
 	Shards            int       `json:"shards"`
 	// ShardCost totals the scheduler's estimated shard costs in
 	// word-operations; zero with Shards > 0 marks a pre-cost-model profile.
-	ShardCost   int64 `json:"shard_cost"`
-	Candidates  int64 `json:"candidates"`
-	Kept        int64 `json:"kept"`
-	Cells       int64 `json:"cells"`
-	CacheHits   int64 `json:"cache_hits"`
-	CacheMisses int64 `json:"cache_misses"`
+	ShardCost  int64 `json:"shard_cost"`
+	Candidates int64 `json:"candidates"`
+	Kept       int64 `json:"kept"`
+	Cells      int64 `json:"cells"`
+	// Intersections and Materialized total the shards' exact counting
+	// work (see ShardStat).
+	Intersections int64 `json:"intersections"`
+	Materialized  int64 `json:"materialized"`
 }
 
-// CacheHitRate returns cache hits over lookups, or 0 before any lookup.
-func (r *ProfileRecord) CacheHitRate() float64 {
-	if total := r.CacheHits + r.CacheMisses; total > 0 {
-		return float64(r.CacheHits) / float64(total)
+// IntersectionsPerCell is the run's counting work per contingency cell
+// built, or 0 before any cell: the kernel-efficiency figure two profiles of
+// the same query compare.
+func (r *ProfileRecord) IntersectionsPerCell() float64 {
+	if r.Cells > 0 {
+		return float64(r.Intersections) / float64(r.Cells)
 	}
 	return 0
 }
@@ -407,8 +412,8 @@ func (p *Profile) Record() *ProfileRecord {
 		for _, ss := range lp.shardStats {
 			rec.CountWorkSeconds += ss.Seconds
 			rec.ShardCost += ss.Cost
-			rec.CacheHits += ss.CacheHits
-			rec.CacheMisses += ss.CacheMisses
+			rec.Intersections += ss.Intersections
+			rec.Materialized += ss.Materialized
 		}
 	}
 	for ph, a := range totals {

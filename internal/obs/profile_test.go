@@ -47,8 +47,8 @@ func TestProfileRecordMath(t *testing.T) {
 	lp.AddPart(PhaseEval, 6*time.Millisecond, 512)
 	lp.SetKept(80)
 	lp.AddCells(400)
-	lp.AddShard(ShardStat{Worker: 0, Sets: 50, Cells: 200, Seconds: 0.004, CacheHits: 10, CacheMisses: 40})
-	lp.AddShard(ShardStat{Worker: 1, Sets: 50, Cells: 200, Seconds: 0.005, CacheHits: 30, CacheMisses: 10})
+	lp.AddShard(ShardStat{Worker: 0, Sets: 50, Cells: 200, Seconds: 0.004, Intersections: 180, Materialized: 30})
+	lp.AddShard(ShardStat{Worker: 1, Sets: 50, Cells: 200, Seconds: 0.005, Intersections: 120, Materialized: 20})
 	lp.End()
 	p.AddWorker(0, 4*time.Millisecond, 1)
 	p.AddWorker(1, 5*time.Millisecond, 1)
@@ -95,11 +95,11 @@ func TestProfileRecordMath(t *testing.T) {
 	if got := rec.CountWorkSeconds; got < 0.009-1e-12 || got > 0.009+1e-12 {
 		t.Errorf("count work = %g, want 0.009", got)
 	}
-	if rec.CacheHits != 40 || rec.CacheMisses != 50 {
-		t.Errorf("cache totals = %d/%d, want 40/50", rec.CacheHits, rec.CacheMisses)
+	if rec.Intersections != 300 || rec.Materialized != 50 {
+		t.Errorf("work totals = %d/%d, want 300/50", rec.Intersections, rec.Materialized)
 	}
-	if got := rec.CacheHitRate(); got < 0.444 || got > 0.445 {
-		t.Errorf("cache hit rate = %g, want 4/9", got)
+	if got := rec.IntersectionsPerCell(); got != 0.75 {
+		t.Errorf("intersections per cell = %g, want 0.75", got)
 	}
 	if len(rec.WorkerBusySeconds) != 2 || rec.WorkerBusySeconds[1] != 0.005 {
 		t.Errorf("worker busy = %v", rec.WorkerBusySeconds)

@@ -30,10 +30,10 @@ const (
 	// waited in the queue (zero-wait admissions observe 0).
 	MetricAdmissionQueueWaitSeconds = "ccs_admission_queue_wait_seconds"
 	// MetricAdmissionShedStage gauges the load monitor's current
-	// degradation stage (0 = normal … 4 = rejecting non-priority tenants).
+	// degradation stage (0 = normal … 3 = rejecting non-priority tenants).
 	MetricAdmissionShedStage = "ccs_admission_shed_stage"
 	// MetricAdmissionShedActionsTotal counts graceful-degradation actions
-	// applied to admitted requests, by action (cache, workers, deadline,
+	// applied to admitted requests, by action (workers, deadline,
 	// reject).
 	MetricAdmissionShedActionsTotal = "ccs_admission_shed_actions_total"
 )
@@ -48,7 +48,7 @@ var (
 	admissionQueue     = obs.Default().Gauge(MetricAdmissionQueueDepth, "Requests currently waiting for an admission slot.")
 	admissionInFlight  = obs.Default().Gauge(MetricAdmissionInFlight, "Mining requests currently holding an admission slot.")
 	admissionQueueWait = obs.Default().Histogram(MetricAdmissionQueueWaitSeconds, "Seconds admitted requests spent waiting in the admission queue.", queueWaitBuckets)
-	shedStageGauge     = obs.Default().Gauge(MetricAdmissionShedStage, "Current load-shedding stage (0 = normal, 4 = rejecting non-priority tenants).")
+	shedStageGauge     = obs.Default().Gauge(MetricAdmissionShedStage, "Current load-shedding stage (0 = normal, 3 = rejecting non-priority tenants).")
 	shedActions        = obs.Default().CounterVec(MetricAdmissionShedActionsTotal, "Graceful-degradation actions applied under load, by action.", "action")
 )
 

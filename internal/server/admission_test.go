@@ -17,48 +17,44 @@ import (
 
 func TestShedStageFor(t *testing.T) {
 	cases := []struct {
-		name                   string
-		inflightFrac, queueFrac float64
-		p99, slo               time.Duration
-		want                   int
+		name      string
+		queueFrac float64
+		p99, slo  time.Duration
+		want      int
 	}{
-		{"idle", 0, 0, 0, 0, shedStageNone},
-		{"slots full", 1, 0, 0, 0, shedStageCache},
-		{"queue building", 1, 0.3, 0, 0, shedStageWorkers},
-		{"queue half", 1, 0.5, 0, 0, shedStageDeadline},
-		{"queue near full", 1, 0.95, 0, 0, shedStageReject},
-		{"p99 over slo", 0.5, 0, 120 * time.Millisecond, 100 * time.Millisecond, shedStageWorkers},
-		{"p99 over twice slo", 0.5, 0, 250 * time.Millisecond, 100 * time.Millisecond, shedStageDeadline},
-		{"p99 without slo", 0.5, 0, time.Hour, 0, shedStageNone},
+		{"idle", 0, 0, 0, shedStageNone},
+		{"queue building", 0.3, 0, 0, shedStageWorkers},
+		{"queue half", 0.5, 0, 0, shedStageDeadline},
+		{"queue near full", 0.95, 0, 0, shedStageReject},
+		{"p99 over slo", 0, 120 * time.Millisecond, 100 * time.Millisecond, shedStageWorkers},
+		{"p99 over twice slo", 0, 250 * time.Millisecond, 100 * time.Millisecond, shedStageDeadline},
+		{"p99 without slo", 0, time.Hour, 0, shedStageNone},
+	}
+	if shedStageWorkers != 1 || shedStageDeadline != 2 || shedStageReject != 3 {
+		t.Fatalf("stages numbered %d/%d/%d, want 1/2/3", shedStageWorkers, shedStageDeadline, shedStageReject)
 	}
 	for _, c := range cases {
-		if got := shedStageFor(c.inflightFrac, c.queueFrac, c.p99, c.slo); got != c.want {
+		if got := shedStageFor(c.queueFrac, c.p99, c.slo); got != c.want {
 			t.Errorf("%s: shedStageFor = %d, want %d", c.name, got, c.want)
 		}
 	}
 }
 
 func TestShedDegradations(t *testing.T) {
-	if got := shedCacheBytes(shedStageNone, 1<<20); got != 1<<20 {
-		t.Errorf("stage 0 cache = %d, want untouched", got)
-	}
-	if got := shedCacheBytes(shedStageCache, 1<<20); got != 1<<20/shedCacheShrink {
-		t.Errorf("stage 1 cache = %d, want %d", got, 1<<20/shedCacheShrink)
-	}
 	if got := shedWorkers(shedStageWorkers, 8); got != 1 {
-		t.Errorf("stage 2 workers = %d, want 1", got)
+		t.Errorf("stage 1 workers = %d, want 1", got)
 	}
-	if got := shedWorkers(shedStageCache, 8); got != 8 {
-		t.Errorf("stage 1 workers = %d, want untouched", got)
+	if got := shedWorkers(shedStageNone, 8); got != 8 {
+		t.Errorf("stage 0 workers = %d, want untouched", got)
 	}
 	if got := shedTimeout(shedStageDeadline, time.Minute); got != time.Minute/shedDeadlineShrink {
-		t.Errorf("stage 3 timeout = %v, want %v", got, time.Minute/shedDeadlineShrink)
+		t.Errorf("stage 2 timeout = %v, want %v", got, time.Minute/shedDeadlineShrink)
 	}
 	if got := shedTimeout(shedStageDeadline, 0); got != shedFallbackTimeout {
-		t.Errorf("stage 3 fallback = %v, want %v", got, shedFallbackTimeout)
+		t.Errorf("stage 2 fallback = %v, want %v", got, shedFallbackTimeout)
 	}
 	if got := shedTimeout(shedStageWorkers, time.Minute); got != 0 {
-		t.Errorf("stage 2 timeout = %v, want 0 (untouched)", got)
+		t.Errorf("stage 1 timeout = %v, want 0 (untouched)", got)
 	}
 }
 

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -10,10 +12,11 @@ import (
 	"ccs/internal/gen"
 )
 
-// TestMineCacheBytes exercises the prefix-cache pass-through: mining with a
-// per-request cache budget must return exactly the answers of an uncached
-// run, and the knob must accept the server default, an explicit budget, and
-// an explicit opt-out.
+// TestMineCacheBytes pins the compatibility of the retired cache_bytes
+// field: counting keeps no prefix cache, the mine decoder does not reject
+// unknown fields, so a request that still sends cache_bytes (positive,
+// negative or zero) gets a 200 with exactly the answers of one that does
+// not.
 func TestMineCacheBytes(t *testing.T) {
 	srv := httptest.NewServer(New(WithCacheBytes(8 << 20)))
 	t.Cleanup(srv.Close)
@@ -28,41 +31,53 @@ func TestMineCacheBytes(t *testing.T) {
 	s := srvFromHandler(t, srv)
 	s.AddDataset("market", db)
 
-	base := MineRequest{
-		Dataset: "market",
-		Algo:    "bms++",
-		Query:   "max(price) <= 40",
-		Alpha:   0.95,
+	body := map[string]any{
+		"dataset": "market",
+		"algo":    "bms++",
+		"query":   "max(price) <= 40",
+		"alpha":   0.95,
 	}
-	mine := func(cacheBytes int64) MineResponse {
+	mine := func(cacheBytes any) MineResponse {
 		t.Helper()
-		req := base
-		req.CacheBytes = cacheBytes
-		resp, body := doJSON(t, http.MethodPost, srv.URL+"/v1/mine", req)
-		if resp.StatusCode != 200 {
-			t.Fatalf("mine (cache_bytes=%d): %d %s", cacheBytes, resp.StatusCode, body)
+		req := map[string]any{}
+		for k, v := range body {
+			req[k] = v
+		}
+		if cacheBytes != nil {
+			req["cache_bytes"] = cacheBytes
+		}
+		raw, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+"/v1/mine", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("mine (cache_bytes=%v): %d %s", cacheBytes, resp.StatusCode, out)
 		}
 		var mr MineResponse
-		if err := json.Unmarshal(body, &mr); err != nil {
+		if err := json.Unmarshal(out, &mr); err != nil {
 			t.Fatal(err)
 		}
 		return mr
 	}
 
-	uncached := mine(-1)        // explicit opt-out
-	serverDefault := mine(0)    // server's -cache-bytes budget
-	perRequest := mine(1 << 20) // explicit per-request budget
-
-	if len(uncached.Answers) == 0 {
+	plain := mine(nil)
+	if len(plain.Answers) == 0 {
 		t.Fatal("mining produced no answers; the comparison is vacuous")
 	}
-	if !reflect.DeepEqual(uncached.Answers, serverDefault.Answers) {
-		t.Fatalf("server-default cache changed the answers:\n  uncached: %v\n  cached:   %v",
-			uncached.Answers, serverDefault.Answers)
-	}
-	if !reflect.DeepEqual(uncached.Answers, perRequest.Answers) {
-		t.Fatalf("per-request cache changed the answers:\n  uncached: %v\n  cached:   %v",
-			uncached.Answers, perRequest.Answers)
+	for _, cb := range []any{1 << 20, -1, 0} {
+		if got := mine(cb); !reflect.DeepEqual(plain.Answers, got.Answers) {
+			t.Fatalf("cache_bytes=%v changed the answers:\n  without: %v\n  with:    %v",
+				cb, plain.Answers, got.Answers)
+		}
 	}
 }
 

@@ -81,7 +81,7 @@ func admissionFrom(ctx context.Context) *admissionInfo {
 }
 
 // admit is the overload gate in front of the mining routes, in
-// cheapest-check-first order: stage-4 shedding (a single atomic read),
+// cheapest-check-first order: stage-3 shedding (a single atomic read),
 // the tenant's rate/concurrency/budget quota, then the global admission
 // queue. Any refusal is a structured 429 with Retry-After; an admitted
 // request carries its admissionInfo downstream and releases its tenant

@@ -83,7 +83,7 @@ type TenantQuota struct {
 	// more than a cheap one.
 	MaxCells    int64   `json:"max_cells,omitempty"`
 	CellsPerSec float64 `json:"cells_per_sec,omitempty"`
-	// Priority tenants keep being admitted at shed stage 4, when the
+	// Priority tenants keep being admitted at shed stage 3, when the
 	// overloaded server turns everyone else away.
 	Priority bool `json:"priority,omitempty"`
 }
@@ -297,7 +297,7 @@ func (qt *quotaTable) state(name string) *tenantState {
 	return qt.tenants[DefaultTenant]
 }
 
-// priority reports whether the resolved tenant survives stage-4 shedding.
+// priority reports whether the resolved tenant survives stage-3 shedding.
 func (qt *quotaTable) priority(name string) bool {
 	if qt == nil {
 		return false

@@ -302,7 +302,7 @@ func TestQuotaExhaustedMidLevel(t *testing.T) {
 	}
 }
 
-// TestPriorityTenantSurvivesShedding checks the stage-4 policy directly
+// TestPriorityTenantSurvivesShedding checks the stage-3 policy directly
 // on the middleware: with the monitor pinned at the reject stage, a
 // priority tenant is still admitted while everyone else is shed.
 func TestPriorityTenantSurvivesShedding(t *testing.T) {
@@ -348,7 +348,7 @@ func TestPriorityTenantSurvivesShedding(t *testing.T) {
 		}
 		resp.Body.Close()
 		if resp.StatusCode != c.want {
-			t.Errorf("tenant %q at stage 4: %d, want %d", c.tenant, resp.StatusCode, c.want)
+			t.Errorf("tenant %q at stage 3: %d, want %d", c.tenant, resp.StatusCode, c.want)
 		}
 		if resp.StatusCode == http.StatusTooManyRequests && resp.Header.Get("Retry-After") == "" {
 			t.Error("shed 429 without Retry-After")

@@ -60,7 +60,6 @@ type Server struct {
 	handler  http.Handler
 
 	mineTimeout time.Duration
-	cacheBytes  int64
 	workers     int
 	backend     tidlist.Backend
 	logger      *obs.Logger
@@ -89,13 +88,11 @@ func WithMineTimeout(d time.Duration) Option {
 	return func(s *Server) { s.mineTimeout = d }
 }
 
-// WithCacheBytes sets the default byte budget of the per-request
-// prefix-intersection cache used by /v1/mine (ccsserve -cache-bytes). 0
-// (the default) counts without a cache; a request can override either way
-// with its cache_bytes field. Cache effectiveness is observable as the
-// ccs_prefix_cache_* series on the ops listener's /metrics.
-func WithCacheBytes(n int64) Option {
-	return func(s *Server) { s.cacheBytes = n }
+// WithCacheBytes does nothing: counting keeps no prefix cache. It stays
+// only for benchmark/, which configures its server with it, until the
+// traced replay reads real server spans (ROADMAP item 6).
+func WithCacheBytes(int64) Option {
+	return func(*Server) {}
 }
 
 // WithWorkers sets the default worker count of the mining level engine for
@@ -127,9 +124,9 @@ func WithLogWriter(w io.Writer) Option {
 // cfg.QueueDepth wait in a bounded queue for at most cfg.MaxQueueWait (or
 // their own deadline, whichever is nearer), and everything else receives
 // a structured 429 with Retry-After. Enabling admission also arms the
-// load monitor, which degrades admitted requests in stages (smaller
-// prefix caches, serial mining, tighter deadlines, priority-only
-// admission) instead of letting the process collapse. A zero MaxInFlight
+// load monitor, which degrades admitted requests in stages (serial
+// mining, tighter deadlines, priority-only admission) instead of letting
+// the process collapse. A zero MaxInFlight
 // leaves the layer off.
 func WithAdmission(cfg AdmissionConfig) Option {
 	return func(s *Server) { s.admCfg = cfg }
@@ -411,10 +408,6 @@ type MineRequest struct {
 	// exceeding either truncates the run the same way a timeout does.
 	MaxCandidates int   `json:"max_candidates,omitempty"`
 	MaxCells      int64 `json:"max_cells,omitempty"`
-	// CacheBytes overrides the server's prefix-intersection cache budget
-	// for this request: > 0 sets the byte budget, < 0 disables the cache,
-	// 0 keeps the server default (ccsserve -cache-bytes).
-	CacheBytes int64 `json:"cache_bytes,omitempty"`
 	// Workers overrides the server's level-engine worker count for this
 	// request: > 1 shards candidate evaluation across that many goroutines,
 	// < 0 forces the serial path, 0 keeps the server default (ccsserve
@@ -560,23 +553,10 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		}
 		backend = b
 	}
-	cacheBytes := s.cacheBytes
-	if req.CacheBytes != 0 {
-		cacheBytes = req.CacheBytes
-	}
-	cacheBytes = shedCacheBytes(stage, cacheBytes)
 	// The counter is always built here (rather than letting core.New pick
 	// its default) so the response can report which backend the index
 	// resolved to and what it cost resident.
-	var cc *counting.BitmapCounter
-	if cacheBytes > 0 {
-		cc = counting.NewCachedBitmapCounterBackend(db, cacheBytes, backend)
-		// Returning the cache's bytes keeps the ccs_prefix_cache_bytes
-		// gauge tracking live requests only.
-		defer cc.ReleaseCache()
-	} else {
-		cc = counting.NewBitmapCounterBackend(db, backend)
-	}
+	cc := counting.NewBitmapCounterBackend(db, backend)
 	opts := []core.Option{core.WithCounter(cc)}
 	workers := s.workers
 	if req.Workers != 0 {
@@ -620,7 +600,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	if d := shedTimeout(stage, s.mineTimeout); d > 0 {
-		// Stage-3 degradation: under sustained overload every mine gets a
+		// Stage-2 degradation: under sustained overload every mine gets a
 		// tighter deadline so slots recycle faster. The reply is still 200,
 		// truncated=true — the graceful half of graceful degradation.
 		var cancel context.CancelFunc

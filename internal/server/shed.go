@@ -8,23 +8,19 @@ import (
 )
 
 // Shed stages. Under pressure the server degrades in the cheapest-first
-// order: give up cache memory, then parallelism, then wall-clock, and only
-// as a last resort refuse whole classes of traffic.
+// order: give up parallelism, then wall-clock, and only as a last resort
+// refuse whole classes of traffic.
 const (
 	shedStageNone     = 0 // normal operation
-	shedStageCache    = 1 // shrink per-request prefix-cache budgets
-	shedStageWorkers  = 2 // clamp the level engine to serial
-	shedStageDeadline = 3 // tighten per-request mine deadlines
-	shedStageReject   = 4 // reject non-priority tenants outright
+	shedStageWorkers  = 1 // clamp the level engine to serial
+	shedStageDeadline = 2 // tighten per-request mine deadlines
+	shedStageReject   = 3 // reject non-priority tenants outright
 )
 
 // shedEvalInterval is how often the monitor recomputes the stage; between
 // evaluations every admission sees the cached stage, so one histogram
 // snapshot amortizes over many requests.
 const shedEvalInterval = 250 * time.Millisecond
-
-// shedCacheShrink divides per-request cache budgets at shedStageCache+.
-const shedCacheShrink = 4
 
 // shedDeadlineShrink divides the mine deadline at shedStageDeadline+.
 const shedDeadlineShrink = 4
@@ -36,20 +32,17 @@ const shedDeadlineShrink = 4
 const shedFallbackTimeout = 30 * time.Second
 
 // shedStageFor is the pure stage policy, separated for deterministic
-// tests: occupancy of the admission slots, occupancy of the queue, and
-// the recent p99 against its SLO (0 slo or 0 p99 = signal absent).
+// tests: occupancy of the admission queue and the recent p99 against its
+// SLO (0 slo or 0 p99 = signal absent).
 //
-// The thresholds encode the collapse physics: full slots alone are
-// healthy saturation (stage 1, shed memory); a building queue means
-// arrivals outpace service (stages 2-3, shed parallelism and wall-clock,
-// both of which raise throughput per slot); a nearly full queue means the
-// next arrivals are lost anyway, so capacity is reserved for tenants that
-// paid for priority (stage 4).
-func shedStageFor(inflightFrac, queueFrac float64, p99, slo time.Duration) int {
+// The thresholds encode the collapse physics: full slots with an empty
+// queue are healthy saturation (stage 0, nothing to shed); a building
+// queue means arrivals outpace service (stages 1-2, shed parallelism and
+// wall-clock, both of which raise throughput per slot); a nearly full
+// queue means the next arrivals are lost anyway, so capacity is reserved
+// for tenants that paid for priority (stage 3).
+func shedStageFor(queueFrac float64, p99, slo time.Duration) int {
 	stage := shedStageNone
-	if inflightFrac >= 1 {
-		stage = shedStageCache
-	}
 	if queueFrac >= 0.25 || (slo > 0 && p99 > slo) {
 		stage = shedStageWorkers
 	}
@@ -62,7 +55,7 @@ func shedStageFor(inflightFrac, queueFrac float64, p99, slo time.Duration) int {
 	return stage
 }
 
-// loadMonitor derives the current shed stage from the admission gate's
+// loadMonitor derives the current shed stage from the admission queue's
 // occupancy and the mining route's latency histogram (the existing
 // ccs_http_request_duration_seconds series — no second bookkeeping path).
 // p99 is computed over the delta between consecutive histogram snapshots,
@@ -101,10 +94,9 @@ func (m *loadMonitor) currentStage() int {
 	}
 	m.lastEval = now
 
-	inflightFrac := frac(m.adm.inFlight(), m.adm.cfg.MaxInFlight)
 	queueFrac := frac(m.adm.queuedNow(), m.adm.cfg.QueueDepth)
 	p99 := m.recentP99Locked()
-	m.stage = shedStageFor(inflightFrac, queueFrac, p99, m.slo)
+	m.stage = shedStageFor(queueFrac, p99, m.slo)
 	shedStageGauge.Set(int64(m.stage))
 	return m.stage
 }
@@ -156,17 +148,7 @@ func frac(n, d int) float64 {
 	return float64(n) / float64(d)
 }
 
-// shedCacheBytes applies the stage-1 degradation to a resolved cache
-// budget.
-func shedCacheBytes(stage int, cacheBytes int64) int64 {
-	if stage >= shedStageCache && cacheBytes > 0 {
-		shedActions.With("cache").Inc()
-		return cacheBytes / shedCacheShrink
-	}
-	return cacheBytes
-}
-
-// shedWorkers applies the stage-2 degradation to a resolved worker count:
+// shedWorkers applies the stage-1 degradation to a resolved worker count:
 // serial mining frees cores for the requests already running.
 func shedWorkers(stage int, workers int) int {
 	if stage >= shedStageWorkers && workers != 1 {
@@ -176,7 +158,7 @@ func shedWorkers(stage int, workers int) int {
 	return workers
 }
 
-// shedTimeout returns the tightened mine deadline for stage 3+, or 0 when
+// shedTimeout returns the tightened mine deadline for stage 2+, or 0 when
 // the stage leaves deadlines alone.
 func shedTimeout(stage int, mineTimeout time.Duration) time.Duration {
 	if stage < shedStageDeadline {

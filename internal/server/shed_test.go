@@ -24,7 +24,7 @@ func TestLoadMonitorStages(t *testing.T) {
 		t.Fatalf("idle stage = %d, want 0", got)
 	}
 
-	// Saturate the slots; cached evaluation must not notice yet.
+	// Saturate the slots: healthy saturation, nothing to shed.
 	rel1, _, rej := adm.acquire(context.Background())
 	if rej != nil {
 		t.Fatal(rej.reason)
@@ -33,18 +33,19 @@ func TestLoadMonitorStages(t *testing.T) {
 	if rej != nil {
 		t.Fatal(rej.reason)
 	}
-	if got := m.currentStage(); got != shedStageNone {
-		t.Fatalf("stage before interval elapsed = %d, want cached 0", got)
-	}
 	clk.Advance(shedEvalInterval)
-	if got := m.currentStage(); got != shedStageCache {
-		t.Fatalf("stage at full slots = %d, want %d", got, shedStageCache)
+	if got := m.currentStage(); got != shedStageNone {
+		t.Fatalf("stage at full slots = %d, want 0", got)
 	}
 
 	// Slow recent traffic: 16 observations at ~0.5s (over 2x the 50ms
-	// SLO) must escalate to the deadline stage even with an empty queue.
+	// SLO) must escalate to the deadline stage even with an empty queue —
+	// but only once the cached evaluation expires.
 	for i := 0; i < 16; i++ {
 		hist.Observe(0.5)
+	}
+	if got := m.currentStage(); got != shedStageNone {
+		t.Fatalf("stage before interval elapsed = %d, want cached 0", got)
 	}
 	clk.Advance(shedEvalInterval)
 	if got := m.currentStage(); got != shedStageDeadline {
@@ -52,18 +53,14 @@ func TestLoadMonitorStages(t *testing.T) {
 	}
 
 	// No new observations: the p99 signal reports absent again (the
-	// deltas are empty), leaving the occupancy-driven stage.
+	// deltas are empty), and the stage falls back to normal.
 	clk.Advance(shedEvalInterval)
-	if got := m.currentStage(); got != shedStageCache {
-		t.Fatalf("stage after latency recovered = %d, want %d", got, shedStageCache)
+	if got := m.currentStage(); got != shedStageNone {
+		t.Fatalf("stage after latency recovered = %d, want 0", got)
 	}
 
 	rel1()
 	rel2()
-	clk.Advance(shedEvalInterval)
-	if got := m.currentStage(); got != shedStageNone {
-		t.Fatalf("stage after drain = %d, want 0", got)
-	}
 
 	var nilMonitor *loadMonitor
 	if got := nilMonitor.currentStage(); got != shedStageNone {
